@@ -78,7 +78,6 @@
 
 #include "net/client.h"
 #include "net/frame.h"
-#include "net/ingest_server.h"
 #include "net/sharded_ingest_server.h"
 #endif
 #include "dist/alias_sampler.h"

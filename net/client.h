@@ -33,11 +33,12 @@ class IngestClient {
   IngestClient(const IngestClient&) = delete;
   IngestClient& operator=(const IngestClient&) = delete;
 
-  // The server's disposition of one batch: either rejected at the hard
-  // watermark (`rejected`, with the queue state that tripped it) or
-  // accepted with the shed accounting (`ack` — keep_shift > 0 means the
-  // soft tier thinned the batch; the kept indices are i % (1 << keep_shift)
-  // == 0, so the caller can reconstruct the accepted subsequence exactly).
+  // The server's disposition of one batch, in `ack`: per partition, how
+  // many samples were accepted, shed by the soft tier's stride, or refused
+  // at the hard watermark — enough for ReconstructAccepted to recover the
+  // accepted subsequence exactly.  `rejected` / `rejected_info` report a
+  // kRejected reply, which no server in this repo sends (its refusals
+  // travel inside the ACK); they stay for wire compatibility.
   struct IngestResult {
     bool rejected = false;
     IngestAck ack;
@@ -55,8 +56,8 @@ class IngestClient {
   // The server's self-measured counters and P50/P99/P99.5 latencies.
   StatusOr<ServerStats> Stats();
 
-  // Half-closes the connection (the server flushes this connection's
-  // queued samples on EOF).  Destruction does the same.
+  // Closes the connection (samples the server already ACKed are in its
+  // partitions' queues and still flush).  Destruction does the same.
   void Close();
 
   bool connected() const { return fd_ >= 0; }

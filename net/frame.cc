@@ -13,6 +13,10 @@ namespace {
 // buffering before the remaining-bytes check rejects it.
 constexpr uint32_t kMaxPartitionEntries = 65536;
 
+// A keep_shift is a power-of-two stride exponent over a u64 index; anything
+// larger than 63 cannot name a stride, and shifting by it is undefined.
+constexpr uint32_t kMaxKeepShift = 63;
+
 // "FHn1" as it appears on the wire (little-endian u32).
 constexpr uint32_t kFrameMagic = 0x316e4846;
 
@@ -224,6 +228,9 @@ StatusOr<IngestAck> DecodeIngestAck(Span<const uint8_t> payload) {
       !reader.ReadU32(&ack.keep_shift) || !reader.ReadU64(&ack.rejected)) {
     return Truncated("DecodeIngestAck");
   }
+  if (ack.keep_shift > kMaxKeepShift) {
+    return Status::Invalid("DecodeIngestAck: keep_shift out of range");
+  }
   uint32_t count = 0;
   if (!reader.ReadU32(&count)) return Truncated("DecodeIngestAck");
   // Entries are 32 bytes each; bound the count against the bytes actually
@@ -237,6 +244,9 @@ StatusOr<IngestAck> DecodeIngestAck(Span<const uint8_t> payload) {
         !reader.ReadU64(&p.accepted) || !reader.ReadU64(&p.shed) ||
         !reader.ReadU64(&p.rejected)) {
       return Truncated("DecodeIngestAck");
+    }
+    if (p.keep_shift > kMaxKeepShift) {
+      return Status::Invalid("DecodeIngestAck: keep_shift out of range");
     }
   }
   if (reader.remaining() != 0) return TrailingBytes("DecodeIngestAck");
@@ -434,19 +444,9 @@ StatusOr<ErrorReply> DecodeErrorReply(Span<const uint8_t> payload) {
 std::vector<KeyedSample> ReconstructAccepted(Span<const KeyedSample> batch,
                                              const IngestAck& ack,
                                              uint32_t num_partitions) {
-  std::vector<KeyedSample> kept;
-  if (ack.partitions.empty()) {
-    // Single-loop shape: one stride over the whole batch (rejected != 0
-    // would have come as a kRejected frame instead of an ack).
-    const uint64_t stride = uint64_t{1} << ack.keep_shift;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (i % stride == 0) kept.push_back(batch[i]);
-    }
-    return kept;
-  }
-  // Sharded shape: replay the server's own partition walk.  Each entry's
-  // stride applies to that partition's subsequence index, which is exactly
-  // the running count of earlier batch samples mapping to the partition.
+  // Replay the server's own partition walk.  Each entry's stride applies to
+  // that partition's subsequence index, which is exactly the running count
+  // of earlier batch samples mapping to the partition.
   struct Disposition {
     bool present = false;
     bool rejected = false;
@@ -461,6 +461,7 @@ std::vector<KeyedSample> ReconstructAccepted(Span<const KeyedSample> batch,
     d.stride = uint64_t{1} << p.keep_shift;
   }
   std::vector<uint64_t> subindex(num_partitions, 0);
+  std::vector<KeyedSample> kept;
   for (const KeyedSample& sample : batch) {
     const uint32_t p = PartitionOfKey(sample.key, num_partitions);
     const uint64_t j = subindex[p]++;

@@ -32,7 +32,8 @@ namespace fasthist {
 enum class FrameType : uint32_t {
   kIngest = 1,         // client -> server: a batch of KeyedSamples
   kIngestAck = 2,      // server -> client: accepted/shed accounting
-  kRejected = 3,       // server -> client: batch refused (hard watermark)
+  kRejected = 3,       // server -> client: batch refused; no server here
+                       // sends it (a refusal travels inside the ACK)
   kSnapshotPull = 4,   // client -> server: export one key's snapshot
   kSnapshotPush = 5,   // server -> client: wire v2/v3 snapshot envelope
   kQuantileQuery = 6,  // client -> server: quantile of one key
@@ -42,8 +43,8 @@ enum class FrameType : uint32_t {
   kError = 10,         // server -> client: typed error reply
 };
 
-// One partition's disposition of its slice of a kIngest batch (sharded
-// server).  `keep_shift` is that partition's degrade-to-sampling stride:
+// One partition's disposition of its slice of a kIngest batch.
+// `keep_shift` is that partition's degrade-to-sampling stride:
 // within the partition's subsequence of the batch (samples with
 // PartitionOfKey(key, N) == partition, in batch order), subsequence index j
 // was kept iff rejected == 0 and j % (1 << keep_shift) == 0.  `rejected`
@@ -58,25 +59,21 @@ struct PartitionDisposition {
   uint64_t rejected = 0;
 };
 
-// Payload of kIngestAck: how the server disposed of one kIngest batch.
-// `keep_shift` records the degrade-to-sampling stride: the server kept
-// sample i of the batch iff i % (1 << keep_shift) == 0 (0 = kept all).  The
-// stride is a deterministic function of queue depth, and the kept indices
-// are a deterministic function of the stride — so the client can
-// reconstruct the accepted subsequence exactly, which is what makes
-// "server state is bit-identical to an offline replay of accepted samples"
-// a checkable contract rather than a statistical hope.  offered/accepted is
-// the recorded weight-correction factor: uniform systematic thinning
-// preserves the sample distribution (quantiles stay unbiased), but count
-// readouts must be rescaled by it.
+// Payload of kIngestAck: how the server disposed of one kIngest batch.  The
+// server sheds *per partition* and fills `partitions` with one entry per
+// partition the batch touched; each entry's stride is a deterministic
+// function of that partition's depth, and the kept indices are a
+// deterministic function of the stride — so the client can reconstruct the
+// accepted subsequence exactly (ReconstructAccepted, below), which is what
+// makes "server state is bit-identical to an offline replay of accepted
+// samples" a checkable contract rather than a statistical hope.
+// offered/accepted is the recorded weight-correction factor: uniform
+// systematic thinning preserves the sample distribution (quantiles stay
+// unbiased), but count readouts must be rescaled by it.
 //
-// The sharded server applies shedding *per partition* and fills
-// `partitions` with one entry per partition the batch touched; the
-// top-level accepted/shed/rejected are then sums over the entries and
-// keep_shift is the maximum stride any partition applied (a summary for
-// single-loop-era dashboards).  When `partitions` is empty the whole batch
-// was disposed with the single top-level stride (the single-loop server).
-// ReconstructAccepted (below) handles both shapes.
+// The top-level accepted/shed/rejected are sums over the entries, and
+// keep_shift is the largest stride any partition applied — summaries for
+// dashboards; replay reads the entries.
 struct IngestAck {
   uint64_t accepted = 0;
   uint64_t shed = 0;
@@ -86,6 +83,8 @@ struct IngestAck {
 };
 
 // Payload of kRejected: the queue state that tripped the hard watermark.
+// Kept in the codec for wire compatibility; no server in this repo sends
+// it.
 struct RejectedInfo {
   uint64_t queue_depth = 0;
   uint64_t hard_watermark = 0;
@@ -121,11 +120,10 @@ struct PartitionStats {
 // streaming histograms (net/latency_recorder.h).  Latencies are
 // microseconds; the ingest class times frame-decode -> ACK-queued, the
 // query class times frame-decode -> reply-queued for pulls and quantiles.
-// Sharded servers report num_loops > 1 and one PartitionStats per
-// partition; the top-level latency quantiles are then the *merge* of every
-// loop's recorder (the library's own mergeability at work), and the
-// top-level counters are sums.  The single-loop server reports
-// num_loops = 1 with one partition entry mirroring its global counters.
+// The server reports num_loops and one PartitionStats per partition; the
+// top-level latency quantiles are the *merge* of every loop's recorder (the
+// library's own mergeability at work), and the top-level counters are sums
+// (max_queue_depth is the largest partition high-water mark).
 struct ServerStats {
   uint64_t frames_received = 0;
   uint64_t connections_accepted = 0;
@@ -137,7 +135,7 @@ struct ServerStats {
   uint64_t samples_shed = 0;
   uint64_t flushes_size = 0;      // size-triggered queue flushes
   uint64_t flushes_deadline = 0;  // deadline-triggered queue flushes
-  uint64_t max_queue_depth = 0;   // high-water mark over all connections
+  uint64_t max_queue_depth = 0;   // high-water mark over all partitions
   double ingest_p50_us = 0.0;
   double ingest_p99_us = 0.0;
   double ingest_p995_us = 0.0;
@@ -224,6 +222,8 @@ std::vector<uint8_t> EncodeIngestPayload(Span<const KeyedSample> samples);
 StatusOr<std::vector<KeyedSample>> DecodeIngestPayload(
     Span<const uint8_t> payload);
 
+// DecodeIngestAck also rejects any keep_shift above 63, so a decoded ACK's
+// strides always fit a u64.
 std::vector<uint8_t> EncodeIngestAck(const IngestAck& ack);
 StatusOr<IngestAck> DecodeIngestAck(Span<const uint8_t> payload);
 
@@ -249,13 +249,12 @@ StatusOr<ErrorReply> DecodeErrorReply(Span<const uint8_t> payload);
 // The client half of the bit-identical-replay contract: given the batch it
 // sent, the ACK it got back, and the partition count the server runs
 // (ServerStats::num_loops), returns the exact subsequence the server
-// ingested, in original batch order.  With per-partition dispositions the
-// stride is applied within each partition's subsequence (the same
-// PartitionOfKey walk the server did); without them the top-level stride
-// applies to the whole batch (single-loop server).  A partition entry with
-// rejected != 0 contributed nothing; a partition the batch touched but the
-// ACK omits likewise contributed nothing (defensive — the server always
-// emits touched partitions).
+// ingested, in original batch order.  Each entry's stride is applied within
+// its partition's subsequence (the same PartitionOfKey walk the server
+// did).  A partition entry with rejected != 0 contributed nothing; a
+// partition the batch touched but the ACK omits likewise contributed
+// nothing (defensive — the server always emits touched partitions), so an
+// ACK with no entries reconstructs an empty set.
 std::vector<KeyedSample> ReconstructAccepted(Span<const KeyedSample> batch,
                                              const IngestAck& ack,
                                              uint32_t num_partitions);

@@ -27,10 +27,13 @@ Status SetNonBlockingFd(int fd) {
   return Status::Ok();
 }
 
-// Same accept-failure backoff as the single-loop server.
+// How long the acceptor stops watching the listener after a persistent
+// accept() failure (fd exhaustion), so level-triggered readiness cannot
+// hot-spin on it.
 constexpr uint64_t kAcceptRearmDelayNanos = 100ull * 1000 * 1000;
 
-// The single-loop server's depth-escalated stride, reused per partition.
+// The depth-escalated shed stride (the formula is documented in the
+// header), applied per partition.
 uint32_t KeepShiftForDepth(uint64_t depth, size_t soft, size_t hard) {
   if (depth <= soft) return 0;
   const uint64_t span = hard - soft;
@@ -41,12 +44,12 @@ uint32_t KeepShiftForDepth(uint64_t depth, size_t soft, size_t hard) {
 
 }  // namespace
 
-// Per-connection state, owned by exactly one worker loop.  Unlike the
-// single-loop server there is no sample queue here: accepted slices go
-// straight into the owner partitions' hand-off rings at ingest time, so a
-// connection's teardown never has samples to rescue.  `id` disambiguates
-// fd reuse: replies built on another loop come back as (fd, id) and are
-// dropped if either no longer matches.
+// Per-connection state, owned by exactly one worker loop.  There is no
+// sample queue here: accepted slices go straight into the owner
+// partitions' hand-off rings at ingest time, so a connection's teardown
+// never has samples to rescue.  `id` disambiguates fd reuse: replies built
+// on another loop come back as (fd, id) and are dropped if either no longer
+// matches.
 struct ShardedIngestServer::Connection {
   Connection(int fd_in, uint64_t id_in, uint64_t max_payload)
       : fd(fd_in), id(id_in), parser(max_payload) {}

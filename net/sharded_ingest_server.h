@@ -14,25 +14,71 @@
 #include "net/frame.h"
 #include "net/latency_recorder.h"
 #include "net/spsc_ring.h"
+#include "store/archetype_pool.h"
 #include "store/partitioned_store.h"
 #include "util/status.h"
 
-// IngestServerOptions is the shared knob set (watermarks, flush triggers,
-// frame caps) — the sharded server reuses it verbatim as `base`.
-#include "net/ingest_server.h"
-
 namespace fasthist {
 
+// The server's knob set that does not depend on the loop count: address,
+// store archetype, flush triggers, per-partition watermarks and caps.
+struct IngestServerOptions {
+  // Loopback by default: the bench and tests drive the server over
+  // 127.0.0.1, and a histogram service has no business on 0.0.0.0 unless
+  // deliberately deployed there.
+  std::string bind_address = "127.0.0.1";
+  uint16_t port = 0;  // 0 = ephemeral; ShardedIngestServer::port() reports it
+
+  // The keyed store every accepted sample lands in (archetype 0).
+  ArchetypeConfig archetype;
+  // Identity stamped on snapshots this server exports.
+  uint64_t shard_id = 0;
+
+  // Batch flush triggers: a partition's pending samples are flushed to its
+  // SummaryStore::AddBatch when they number >= flush_batch (size trigger)
+  // or when the oldest of them turns flush_deadline_us old (deadline
+  // trigger) — whichever fires first.
+  size_t flush_batch = 4096;
+  uint64_t flush_deadline_us = 2000;
+
+  // Two-tier overload policy, per partition, in accepted-but-unflushed
+  // samples:
+  //   depth <= soft_watermark          accept the partition's slice whole
+  //   soft < depth < hard_watermark    degrade to sampling (thin the slice)
+  //   depth >= hard_watermark          refuse the slice
+  // A refused slice is reported inside the kIngestAck, as that partition's
+  // `rejected` count; no separate frame is sent.  The hard watermark is the
+  // bounded-queue guarantee: a partition never holds more than
+  // hard_watermark + one racing batch per producer loop, so server memory
+  // stays bounded no matter how fast clients push.
+  size_t soft_watermark = 16384;
+  size_t hard_watermark = 65536;
+
+  // Frame payload cap (bounds per-connection decode buffering) and the
+  // accept limit.
+  uint64_t max_frame_payload = kDefaultMaxFramePayload;
+  int max_connections = 256;
+
+  // Write-side bound, the mirror of the ingest watermarks: a peer that
+  // sends requests but never reads replies (a kSnapshotPull request is 24
+  // bytes; its reply can be a ~1 MB envelope) would otherwise grow the
+  // connection's reply buffer without limit.  Once the unwritten backlog
+  // exceeds this many bytes the connection is dropped (the slices it had
+  // accepted are already in the rings and still flush).  Must fit at least
+  // one max-size frame, or every oversized reply would tear its connection
+  // down.
+  size_t max_reply_backlog = size_t{4} << 20;
+};
+
 struct ShardedIngestServerOptions {
-  // Address, archetype, flush triggers, watermarks, caps — identical
-  // meaning to the single-loop server, except the watermarks and the queue
-  // bound now apply *per partition* (see below).
+  // Address, archetype, flush triggers, watermarks and caps; the
+  // watermarks and the queue bound apply *per partition* (see below).
   IngestServerOptions base;
 
   // Worker event loops = key-hash partitions.  Must be a power of two
-  // (PartitionOfKey masks, it does not divide).  1 degenerates to the
-  // single-loop topology — same code path, which is what the loops axis of
-  // the bench compares against.
+  // (PartitionOfKey masks, it does not divide).  1 is the single-loop
+  // topology — the same code path, which is what the loops axis of the
+  // bench compares against.
   int num_loops = 4;
 
   // Capacity (batches, power of two) of each (owner, producer) hand-off
@@ -65,11 +111,17 @@ struct ShardedIngestServerOptions {
 // PartitionOfKey, and applies the two-tier shed policy *per partition*
 // against that partition's accepted-but-unflushed depth: at or past the
 // hard watermark (or with the hand-off ring full) the slice is rejected
-// outright; between the watermarks it is thinned with the deterministic
-// stride of the single-loop server; below the soft watermark it is kept
-// whole.  Kept slices are pushed into the owner's ring *before* the ACK is
-// sent, so by the time a client sees its ACK the samples are visible to any
-// later drain — the freshness contract queries rely on.  The ACK carries
+// outright; between the watermarks it is thinned with a deterministic
+// stride,
+//
+//   s = 1 + floor(3 * (depth - soft) / (hard - soft)),  clamped to [1, 4]
+//
+// keeping subsequence indices j with j % (1 << s) == 0 (1/2 down to 1/16);
+// below the soft watermark it is kept whole.  Uniform thinning preserves
+// the sample *distribution*, so quantile estimates stay unbiased.  Kept
+// slices are pushed into the owner's ring *before* the ACK is sent, so by
+// the time a client sees its ACK the samples are visible to any later
+// drain — the freshness contract queries rely on.  The ACK carries
 // one PartitionDisposition per touched partition, which keeps the
 // bit-identical-replay contract of PR 9 alive under sharding: a client
 // replays each partition's stride over its subsequence
@@ -170,8 +222,10 @@ class ShardedIngestServer {
                      const std::shared_ptr<StatsGather>& gather);
   ServerStats AggregateStats(const StatsGather& gather) const;
 
-  // --- Write path (the owning worker's loop); alive-bool contract as in
-  // the single-loop server: false means the connection is gone. ---
+  // --- Write path (the owning worker's loop).  The send path can tear
+  // the connection down (a write error, or a reply backlog past
+  // max_reply_backlog), so these return whether `conn` is still alive; on
+  // false the reference is dangling and the caller must not touch it. ---
   bool SendFrame(Worker& w, Connection& conn, FrameType type,
                  Span<const uint8_t> payload);
   bool SendError(Worker& w, Connection& conn, ErrorCode code,

@@ -30,7 +30,8 @@
 #                      fields: regression = fresh shape rising more than
 #                      TOLERANCE_PCT above the committed shape.
 #   SKIP_IF_UNMATCHED  default OFF.  ON turns the <2-matches FATAL into a
-#                      STATUS + pass — for checks that only apply when the
+#                      "check_bench_regression: skipped:" STATUS line and a
+#                      zero exit — for checks that only apply when the
 #                      fresh grid overlaps the committed one (e.g. a
 #                      threads-matched latency check that legitimately has
 #                      nothing to compare on a machine class the committed
@@ -159,9 +160,9 @@ list(LENGTH matched_names num_matched)
 if(num_matched LESS 2)
   if(SKIP_IF_UNMATCHED)
     message(STATUS
-            "check_bench_regression: only ${num_matched} record(s) of "
-            "${FRESH_JSON} match ${COMMITTED_JSON}; SKIP_IF_UNMATCHED is "
-            "set, so nothing to compare here — passing")
+            "check_bench_regression: skipped: only ${num_matched} "
+            "record(s) of ${FRESH_JSON} match ${COMMITTED_JSON}; "
+            "SKIP_IF_UNMATCHED is set, so nothing was compared")
     return()
   endif()
   message(FATAL_ERROR

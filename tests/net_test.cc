@@ -1,9 +1,11 @@
 // The net/ layer's contracts: frame codecs total over hostile bytes, the
 // parser reassembling arbitrary chunkings, the event loop's timers and
 // cross-thread Post, the latency recorder against a sorted-vector
-// reference, and the ingest server end to end over real loopback sockets —
-// including the two-tier overload policy's bit-identical-replay guarantee,
-// live-socket frame fuzzing, and graceful-shutdown drain.
+// reference, and the ingest server (ShardedIngestServer with one loop) end
+// to end over real loopback sockets — including the two-tier overload
+// policy's bit-identical-replay guarantee, live-socket frame fuzzing, the
+// reply-backlog cap, and graceful-shutdown drain.  sharded_net_test covers
+// the multi-loop topology.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -23,8 +25,8 @@
 #include "net/client.h"
 #include "net/event_loop.h"
 #include "net/frame.h"
-#include "net/ingest_server.h"
 #include "net/latency_recorder.h"
+#include "net/sharded_ingest_server.h"
 #include "service/wire_format.h"
 #include "store/summary_store.h"
 #include "tests/fasthist_test.h"
@@ -36,15 +38,20 @@ namespace {
 
 // --- Shared helpers ---------------------------------------------------------
 
-std::unique_ptr<IngestServer> StartServer(const IngestServerOptions& options) {
-  auto server = IngestServer::Create(options);
+// One worker loop, so every key lands in partition 0.
+std::unique_ptr<ShardedIngestServer> StartServer(
+    const IngestServerOptions& options) {
+  ShardedIngestServerOptions sharded;
+  sharded.base = options;
+  sharded.num_loops = 1;
+  auto server = ShardedIngestServer::Create(sharded);
   CHECK_OK(server);
-  std::unique_ptr<IngestServer> owned = std::move(server).value();
+  std::unique_ptr<ShardedIngestServer> owned = std::move(server).value();
   CHECK(owned->Start().ok());
   return owned;
 }
 
-IngestClient ConnectTo(const IngestServer& server) {
+IngestClient ConnectTo(const ShardedIngestServer& server) {
   auto client = IngestClient::Connect("127.0.0.1", server.port());
   CHECK_OK(client);
   return std::move(client).value();
@@ -148,6 +155,12 @@ TEST(NetFrameRoundTripsAndParserReassembles) {
         decoded_ack->partitions[1].keep_shift == 1 &&
         decoded_ack->partitions[1].shed == 1 &&
         decoded_ack->partitions[1].rejected == 4);
+  // Replay reads only the per-partition entries: an ACK that names no
+  // partition accepted nothing of a non-empty batch, whatever its totals
+  // say — the same as any partition an ACK omits.
+  IngestAck partitionless;
+  partitionless.accepted = samples.size();
+  CHECK(ReconstructAccepted(samples, partitionless, 1).empty());
 
   auto decoded_rejected = DecodeRejectedInfo(frames[2].payload);
   CHECK_OK(decoded_rejected);
@@ -252,6 +265,22 @@ TEST(NetFrameDecodeRejectsCorruptInput) {
     hostile[30] = 0xFF;
     hostile[31] = 0xFF;
     CHECK(!DecodeIngestAck(hostile).ok());
+  }
+
+  // A keep_shift past 63 names no u64 stride, at the top level (bytes
+  // 16..19) or in an entry (bytes 36..39); 63 itself still decodes.
+  {
+    IngestAck sharded_ack{5, 3, 1};
+    sharded_ack.partitions.push_back(PartitionDisposition{0, 1, 5, 3, 0});
+    for (const size_t offset : {size_t{16}, size_t{36}}) {
+      std::vector<uint8_t> bytes = EncodeIngestAck(sharded_ack);
+      bytes[offset] = 63;
+      CHECK(DecodeIngestAck(bytes).ok());
+      bytes[offset] = 64;
+      CHECK(!DecodeIngestAck(bytes).ok());
+      bytes[offset] = 200;
+      CHECK(!DecodeIngestAck(bytes).ok());
+    }
   }
 
   // Every typed decoder rejects every strict prefix and one trailing byte.
@@ -427,7 +456,7 @@ TEST(NetLoopbackIngestQueryEndToEnd) {
       const std::vector<KeyedSample> batch = MakeBatch(&rng, key, 11, domain);
       auto result = alice.Ingest(batch);
       CHECK_OK(result);
-      CHECK(!result->rejected);
+      CHECK(result->ack.rejected == 0);
       CHECK(result->ack.accepted == batch.size() && result->ack.shed == 0);
       alice_sent.insert(alice_sent.end(), batch.begin(), batch.end());
       ++batches;
@@ -435,7 +464,7 @@ TEST(NetLoopbackIngestQueryEndToEnd) {
     const std::vector<KeyedSample> batch = MakeBatch(&rng, 3, 5, domain);
     auto result = bob.Ingest(batch);
     CHECK_OK(result);
-    CHECK(!result->rejected);
+    CHECK(result->ack.rejected == 0);
     bob_sent.insert(bob_sent.end(), batch.begin(), batch.end());
     ++batches;
   }
@@ -519,10 +548,17 @@ TEST(NetServerShedsAndRejectsUnderOverload) {
     offered += batch.size();
     auto result = client.Ingest(batch);
     CHECK_OK(result);
-    if (result->rejected) {
+    // The refusal travels inside the ACK: partition 0 refused the whole
+    // batch, and nothing of it was accepted or shed.
+    CHECK(result->ack.partitions.size() == 1);
+    if (result->ack.rejected != 0) {
       saw_reject = true;
-      CHECK(result->rejected_info.queue_depth >= options.hard_watermark);
-      CHECK(result->rejected_info.hard_watermark == options.hard_watermark);
+      // Refused only at the hard watermark: nothing ever flushes, so the
+      // partition's depth is the number of samples accepted so far.
+      CHECK(accepted_replay.size() >= options.hard_watermark);
+      CHECK(result->ack.rejected == batch.size());
+      CHECK(result->ack.partitions[0].rejected == batch.size());
+      CHECK(result->ack.accepted == 0 && result->ack.shed == 0);
       continue;
     }
     // Reconstruct the accepted subsequence from the recorded stride — the
@@ -546,8 +582,8 @@ TEST(NetServerShedsAndRejectsUnderOverload) {
   CHECK(live_stats->batches_rejected > 0);
   CHECK(live_stats->samples_offered == offered);
   CHECK(live_stats->samples_accepted == accepted_replay.size());
-  // The bounded-memory guarantee: the queue never exceeds the hard
-  // watermark plus one (thinned) batch.
+  // The bounded-memory guarantee: the partition never holds more than the
+  // hard watermark plus one (thinned) batch.
   CHECK(live_stats->max_queue_depth < options.hard_watermark + 32);
 
   CHECK(server->Shutdown().ok());
@@ -557,7 +593,7 @@ TEST(NetServerShedsAndRejectsUnderOverload) {
   auto offline = SummaryStore::Create(options.archetype);
   CHECK_OK(offline);
   CHECK(offline->AddBatch(accepted_replay).ok());
-  auto server_snapshot = server->store().ExportKeyedSnapshot(7, 3);
+  auto server_snapshot = server->ExportKeyedSnapshot(7);
   CHECK_OK(server_snapshot);
   auto offline_snapshot = offline->ExportKeyedSnapshot(7, 3);
   CHECK_OK(offline_snapshot);
@@ -717,7 +753,7 @@ TEST(NetFrameFuzzServerSurvivesHostileBytes) {
   const std::vector<KeyedSample> batch = MakeBatch(&rng, 11, 16, domain);
   auto result = client.Ingest(batch);
   CHECK_OK(result);
-  CHECK(!result->rejected && result->ack.accepted == batch.size());
+  CHECK(result->ack.rejected == 0 && result->ack.accepted == batch.size());
   auto reply = client.Quantile(11, 0.5);
   CHECK_OK(reply);
   auto stats = client.Stats();
@@ -772,7 +808,7 @@ TEST(NetServerSurvivesPeerResetDuringIngestReply) {
   const std::vector<KeyedSample> batch = MakeBatch(&rng, 11, 16, domain);
   auto result = client.Ingest(batch);
   CHECK_OK(result);
-  CHECK(!result->rejected && result->ack.accepted == batch.size());
+  CHECK(result->ack.rejected == 0 && result->ack.accepted == batch.size());
   auto reply = client.Quantile(11, 0.5);
   CHECK_OK(reply);
   CHECK(server->Shutdown().ok());
@@ -802,49 +838,75 @@ TEST(NetServerBoundsReplyBacklog) {
                 sizeof(addr)) == 0);
 
   // Pump stats requests (each reply ~168 bytes) and never read.  Replies
-  // fill the kernel buffers, then the server's `out`, then trip the cap:
-  // the server closes and the pending RST fails any still-blocked send.
+  // fill the kernel buffers, then the server's `out`, then trip the cap.
   // 50k requests is ~8 MB of replies — past any plausible kernel
-  // buffering, so a server that (wrongly) buffers forever cannot pass.
+  // buffering, so a server that (wrongly) buffers forever cannot pass.  The
+  // server answers kStats asynchronously, so it may read the whole request
+  // stream before the cap fires; a failed send (EPIPE/ECONNRESET, the cap
+  // fired first) just ends the pump early.
+  constexpr int kRequests = 50000;
   const std::vector<uint8_t> stats_request =
       EncodeFrame(FrameType::kStats, Span<const uint8_t>());
-  bool server_dropped_us = false;
-  for (int i = 0; i < 50000 && !server_dropped_us; ++i) {
+  bool send_failed = false;
+  for (int i = 0; i < kRequests && !send_failed; ++i) {
     size_t sent = 0;
     while (sent < stats_request.size()) {
       const ssize_t n = send(fd, stats_request.data() + sent,
                              stats_request.size() - sent, MSG_NOSIGNAL);
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) {
-        server_dropped_us = true;  // EPIPE/ECONNRESET: the cap fired
+        send_failed = true;
         break;
       }
       sent += static_cast<size_t>(n);
     }
   }
-  // The send side can outrun a (sanitizer-slowed) server — the whole
-  // request stream fits in the local kernel send buffer — so a clean send
-  // loop proves nothing yet.  The verdict is the RST: wait for it.
-  if (!server_dropped_us) {
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = 0;  // POLLERR/POLLHUP are reported regardless
-    for (int waited_ms = 0; waited_ms < 30000; waited_ms += 100) {
-      if (poll(&pfd, 1, 100) > 0 &&
-          (pfd.revents & (POLLERR | POLLHUP)) != 0) {
-        server_dropped_us = true;
-        break;
-      }
-    }
-  }
-  CHECK(server_dropped_us);
-  close(fd);
 
-  // The drop was surgical: the server still serves, and counted it.
+  // Verdict 1: the server counts the drop.  Asked over a second, honest
+  // connection, because the victim socket shows nothing yet: once the cap
+  // fires, the server's close() queues a FIN behind replies the zero-window
+  // victim never reads.  Each answer also proves the server still serves.
   IngestClient client = ConnectTo(*server);
-  auto stats = client.Stats();
-  CHECK_OK(stats);
-  CHECK(stats->connections_dropped >= 1);
+  bool dropped = false;
+  for (int waited_ms = 0; waited_ms < 30000; waited_ms += 100) {
+    auto stats = client.Stats();
+    CHECK_OK(stats);
+    if (stats->connections_dropped >= 1) {
+      dropped = true;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  CHECK(dropped);
+
+  // Verdict 2: the drop ended the replies.  Reading the victim releases the
+  // replies queued before the close, then EOF (or a reset) — and fewer
+  // replies than requests were ever sent.
+  FrameParser replies;
+  size_t num_replies = 0;
+  bool reached_end = false;
+  uint8_t buffer[4096];
+  struct pollfd pfd;
+  pfd.fd = fd;
+  pfd.events = POLLIN;
+  for (int waited_ms = 0; waited_ms < 30000;) {
+    if (poll(&pfd, 1, 100) <= 0) {
+      waited_ms += 100;
+      continue;
+    }
+    const ssize_t n = read(fd, buffer, sizeof(buffer));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      reached_end = true;  // EOF, or ECONNRESET
+      break;
+    }
+    replies.Consume(Span<const uint8_t>(buffer, static_cast<size_t>(n)));
+    Frame frame;
+    while (replies.Next(&frame) == FrameParser::Result::kFrame) ++num_replies;
+  }
+  close(fd);
+  CHECK(reached_end);
+  CHECK(num_replies < static_cast<size_t>(kRequests));
   CHECK(server->Shutdown().ok());
 }
 
@@ -868,7 +930,7 @@ TEST(NetGracefulShutdownDrainsAndMatchesOfflineReplay) {
       const std::vector<KeyedSample> batch = MakeBatch(&rng, key, 9, domain);
       auto result = alice.Ingest(batch);
       CHECK_OK(result);
-      CHECK(!result->rejected && result->ack.shed == 0);
+      CHECK(result->ack.rejected == 0 && result->ack.shed == 0);
       alice_sent.insert(alice_sent.end(), batch.begin(), batch.end());
     }
     const std::vector<KeyedSample> batch = MakeBatch(&rng, 23, 7, domain);
@@ -889,7 +951,7 @@ TEST(NetGracefulShutdownDrainsAndMatchesOfflineReplay) {
   CHECK(offline->AddBatch(alice_sent).ok());
   CHECK(offline->AddBatch(bob_sent).ok());
   for (uint64_t key : {uint64_t{21}, uint64_t{22}, uint64_t{23}}) {
-    auto drained = server->store().ExportKeyedSnapshot(key, options.shard_id);
+    auto drained = server->ExportKeyedSnapshot(key);
     CHECK_OK(drained);
     auto expected = offline->ExportKeyedSnapshot(key, options.shard_id);
     CHECK_OK(expected);

@@ -764,5 +764,52 @@ TEST(ShardedGracefulShutdownDrainsAllPartitions) {
   }
 }
 
+// --- Option validation ------------------------------------------------------
+
+// Create refuses every option set that would break an invariant the server
+// relies on, naming the offending option.  No server here is started, so
+// no thread is spawned.
+TEST(ShardedServerCreateRejectsInvalidOptions) {
+  struct Case {
+    const char* what;
+    void (*mutate)(ShardedIngestServerOptions*);
+  };
+  const Case cases[] = {
+      {"watermarks",
+       [](ShardedIngestServerOptions* o) {
+         o->base.soft_watermark = o->base.hard_watermark;
+       }},
+      {"watermarks",
+       [](ShardedIngestServerOptions* o) {
+         o->base.soft_watermark = o->base.hard_watermark + 1;
+       }},
+      {"flush_batch",
+       [](ShardedIngestServerOptions* o) { o->base.flush_batch = 0; }},
+      {"max_frame_payload",
+       [](ShardedIngestServerOptions* o) { o->base.max_frame_payload = 23; }},
+      {"max_connections",
+       [](ShardedIngestServerOptions* o) { o->base.max_connections = 0; }},
+      {"max_reply_backlog",
+       [](ShardedIngestServerOptions* o) {
+         o->base.max_reply_backlog =
+             o->base.max_frame_payload + kFrameHeaderBytes - 1;
+       }},
+      {"num_loops", [](ShardedIngestServerOptions* o) { o->num_loops = 0; }},
+      {"num_loops", [](ShardedIngestServerOptions* o) { o->num_loops = 3; }},
+      {"num_loops", [](ShardedIngestServerOptions* o) { o->num_loops = 512; }},
+      {"ring_capacity",
+       [](ShardedIngestServerOptions* o) { o->ring_capacity = 48; }},
+  };
+  // The defaults are valid, so each rejection below is the mutation's.
+  CHECK_OK(ShardedIngestServer::Create(ShardedIngestServerOptions{}));
+  for (const Case& c : cases) {
+    ShardedIngestServerOptions options;
+    c.mutate(&options);
+    auto server = ShardedIngestServer::Create(options);
+    CHECK(!server.ok());
+    CHECK(server.status().message().find(c.what) != std::string::npos);
+  }
+}
+
 }  // namespace
 }  // namespace fasthist
