@@ -4,16 +4,17 @@
 // sampling (O(1)), empirical-distribution construction, selection, and the
 // exact DP for context.
 //
-// Invoked with --merge-grid the binary instead runs the thread/size scaling
-// grid of the SoA merge engine (2^20 .. 2^26 domains x 1/2/4/8 threads) and
-// writes the machine-readable perf trajectory to BENCH_merge.json — plus an
-// allocation sanity check asserting the engine's round-persistent buffers
-// really keep the per-construction allocation count independent of the
-// round count.  Every cell is timed min-of-R (R >= 3, --reps=<R> to raise
-// it) with repetitions interleaved across thread counts, so a single noisy
-// run can never enter the committed trajectory and machine-state drift
-// (huge-page promotion, frequency) cannot bias one cell against another.
-// --smoke shrinks the grid for CI; --out=<path> redirects the JSON.
+// Invoked with --merge-grid the binary instead runs the size/thread grid of
+// the SoA merge engine (serial histogram rows over 2^20 .. 2^24 domains,
+// degree-2 poly rows at 1/2/4/8 threads) and writes the machine-readable
+// perf trajectory to BENCH_merge.json — plus an allocation sanity check
+// asserting the engine's round-persistent buffers really keep the
+// per-construction allocation count independent of the round count.  Every
+// cell is timed min-of-R (R >= 3, --reps=<R> to raise it) with poly
+// repetitions interleaved across thread counts, so a single noisy run can
+// never enter the committed trajectory and machine-state drift (huge-page
+// promotion, frequency) cannot bias one cell against another.  --smoke
+// shrinks the grid for CI; --out=<path> redirects the JSON.
 
 #include <benchmark/benchmark.h>
 
@@ -97,19 +98,6 @@ void BM_ConstructHistogramFast(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_ConstructHistogramFast)->Range(1 << 10, 1 << 18)->Complexity();
-
-void BM_ConstructHistogramFastThreaded(benchmark::State& state) {
-  const SparseFunction q = SparseFunction::FromDense(Signal(state.range(0)));
-  MergingOptions options;
-  options.num_threads = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    auto result = ConstructHistogramFast(q, 64, options);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_ConstructHistogramFastThreaded)
-    ->ArgsProduct({{1 << 18, 1 << 20}, {1, 2, 4, 8}});
 
 void BM_Hierarchical(benchmark::State& state) {
   const SparseFunction q = SparseFunction::FromDense(Signal(state.range(0)));
@@ -255,10 +243,12 @@ void BM_SelectKthMedianOfMedians(benchmark::State& state) {
 BENCHMARK(BM_SelectKthMedianOfMedians)->Range(1 << 10, 1 << 18)->Complexity();
 
 // ---------------------------------------------------------------------------
-// The thread/size scaling grid (--merge-grid): the perf trajectory of the
-// SoA engine.  One warm histogram construction per (domain size, threads)
-// cell plus a degree-2 piecewise-polynomial row, written as
-// BENCH_merge.json via bench_util::JsonBenchWriter.
+// The size/thread grid (--merge-grid): the perf trajectory of the SoA
+// engine.  One warm serial histogram construction per domain size (the
+// histogram rounds are serial at every num_threads) plus degree-2
+// piecewise-polynomial rows per thread count (the refits are the engine's
+// one threaded phase), written as BENCH_merge.json via
+// bench_util::JsonBenchWriter.
 // ---------------------------------------------------------------------------
 
 // Min-of-R per thread count with thread-count-interleaved, rotated
@@ -305,16 +295,16 @@ int RunMergeScalingGrid(int argc, char** argv) {
 
   std::vector<int64_t> sizes = smoke
       ? std::vector<int64_t>{1 << 14, 1 << 16}
-      : std::vector<int64_t>{1 << 20, 1 << 22, 1 << 24, 1 << 26};
+      : std::vector<int64_t>{1 << 20, 1 << 22, 1 << 24};
   std::vector<int> threads = smoke ? std::vector<int>{1, 2}
                                    : std::vector<int>{1, 2, 4, 8};
 
   bench_util::JsonBenchWriter writer("merge_scaling");
   writer.AddContext("k", static_cast<double>(k));
   // hardware_threads is what the oversubscription clamp sees: on a 1-core
-  // container every threads > 1 row degrades to the serial path by design
-  // (threads_effective = 1 in the records), so flat rows there are the
-  // clamp working, not missing parallelism.
+  // container every poly threads > 1 row degrades to the serial path by
+  // design (threads_effective = 1 in the records), so flat rows there are
+  // the clamp working, not missing parallelism.
   writer.AddContext("hardware_threads",
                     static_cast<double>(std::thread::hardware_concurrency()));
   writer.AddContext("timing_min_of_reps", static_cast<double>(reps));
@@ -348,35 +338,23 @@ int RunMergeScalingGrid(int argc, char** argv) {
       allocation_check_ok = false;
     }
 
-    const std::vector<double> best = MinOfInterleavedReps(
-        threads, reps, [&](const MergingOptions& options) {
+    const double ms = MinOfInterleavedReps(
+        {1}, reps, [&](const MergingOptions& options) {
           auto result = ConstructHistogramFast(q, k, options);
           benchmark::DoNotOptimize(result);
-        });
-    const double serial_ms = best[0];  // threads vector starts at 1
-    for (size_t ti = 0; ti < threads.size(); ++ti) {
-      const int num_threads = threads[ti];
-      const double ms = best[ti];
-      writer.Add("hist_fast",
-                 {{"n", static_cast<double>(n)},
-                  {"threads", static_cast<double>(num_threads)},
-                  {"threads_effective",
-                   static_cast<double>(EffectiveParallelism(num_threads))},
-                  {"ms", ms},
-                  {"reps", static_cast<double>(reps)},
-                  {"speedup_vs_serial", ms > 0.0 ? serial_ms / ms : 1.0},
-                  {"rounds", static_cast<double>(probe->num_rounds)},
-                  {"pieces",
-                   static_cast<double>(probe->histogram.num_pieces())},
-                  {"allocs", static_cast<double>(allocs)}});
-      std::printf("hist_fast n=%lld threads=%d: %.2f ms (%.2fx)\n",
-                  static_cast<long long>(n), num_threads, ms,
-                  ms > 0.0 ? serial_ms / ms : 1.0);
-      std::fflush(stdout);
-    }
+        })[0];
+    writer.Add("hist_fast",
+               {{"n", static_cast<double>(n)},
+                {"ms", ms},
+                {"reps", static_cast<double>(reps)},
+                {"rounds", static_cast<double>(probe->num_rounds)},
+                {"pieces", static_cast<double>(probe->histogram.num_pieces())},
+                {"allocs", static_cast<double>(allocs)}});
+    std::printf("hist_fast n=%lld: %.2f ms\n", static_cast<long long>(n), ms);
+    std::fflush(stdout);
   }
 
-  // One polynomial row: the refit pass is the compute-bound face of the
+  // The polynomial rows: the refit pass is the compute-bound face of the
   // same engine, so it scales where the histogram kernel is memory-bound.
   {
     const int64_t n = smoke ? (1 << 13) : (1 << 20);

@@ -26,25 +26,17 @@ void ResetEngineCountersForTesting() {
 
 namespace {
 
-// Chunk-size floors for the data-parallel passes: histogram merges are a
-// few flops each, so chunks must be large to amortize dispatch; poly refits
-// scan their support, so much smaller chunks already pay off; the selection
-// mark pass is a byte-wide scan and needs the largest chunks of all.
-// ParallelFor's scheduling rule (util/parallel.h) guarantees at least one
-// full grain of work per task and stays serial below two grains.
-constexpr int64_t kHistogramGrain = 8192;
+// Chunk-size floor of the data-parallel poly refits: each refit scans its
+// support, so small chunks already pay off.  ParallelFor's scheduling rule
+// (util/parallel.h) guarantees at least one full grain of work per task and
+// stays serial below two grains.
 constexpr int64_t kPolyGrain = 64;
-constexpr int64_t kSelectGrain = 32768;
 // Below this keep count the selection threshold comes from a single
 // sequential top-k heap scan instead of copy + nth_element (see
-// SelectThreshold): with the paper's settings keep ~ k, which is tiny
+// MarkKeepSplit): with the paper's settings keep ~ k, which is tiny
 // against millions of pairs, and the heap scan touches the error plane
 // exactly once.
 constexpr size_t kHeapSelectCutoff = 2048;
-// Interior chunk boundaries are rounded down to a cache line's worth of
-// elements, so adjacent chunks never write the same line at a seam.
-constexpr int64_t kDoubleAlign = 8;   // 8 doubles = 64 bytes
-constexpr int64_t kByteAlign = 64;    // keep_split is a char plane
 
 // Clamp bound applied before double -> int64 casts of the keep/stop
 // schedule.  k * (1 + 1/delta) overflows int64 for huge k and tiny delta,
@@ -84,13 +76,13 @@ Status ValidateRoundArgs(int64_t domain_size, int64_t k,
   return Status::Ok();
 }
 
-// The oversubscription guard of the adaptive schedule: a request for more
-// threads than the machine has cores used to put 8 workers on 1 core and
-// run 10x *slower* than serial (the committed BENCH_merge.json trajectory
-// caught this at n=64M).  Requests are clamped to the hardware before a
-// pool is chosen, and a clamp to 1 means no pool at all — the fully serial
-// path.  Output is unaffected: the engine is bit-identical at any thread
-// count by construction.
+// The pool of the poly refits, behind the oversubscription guard: a request
+// for more threads than the machine has cores used to put 8 workers on 1
+// core and run 10x *slower* than serial (an earlier BENCH_merge.json
+// trajectory caught this at n=64M).  Requests are clamped to the hardware
+// before a pool is chosen, and a clamp to 1 means no pool at all — the
+// fully serial path.  Output is unaffected: the refits write disjoint slots,
+// so the engine is bit-identical at any thread count.
 ThreadPool* PoolFor(const MergingOptions& options) {
   const int effective = EffectiveParallelism(options.num_threads);
   return effective > 1 ? &ThreadPool::Shared(effective) : nullptr;
@@ -104,12 +96,12 @@ ThreadPool* PoolFor(const MergingOptions& options) {
 // allocates nothing (the perf-smoke ctest and bench_micro ride on this).
 // A store supplies
 //   size_t size();                       current number of atoms
-//   void EvaluatePairs(n, pool, err);    statistics + error of the n
+//   void EvaluatePairs(n, err);          statistics + error of the n
 //                                        adjacent pairs into the candidate
 //                                        planes (the cold start: only the
 //                                        first round needs a stand-alone
 //                                        evaluation pass)
-//   void CommitAndEvaluate(keep_split, n, pool, err);
+//   void CommitAndEvaluate(keep_split, n, err);
 //                                        THE fused round kernel: build the
 //                                        next generation (kept pairs stay
 //                                        split, the rest become their
@@ -129,14 +121,17 @@ ThreadPool* PoolFor(const MergingOptions& options) {
 // the round recursion s -> ceil(s/2) + keep (strictly decreasing while
 // s > stop >= 2*keep + 1, so termination is structural).
 //
-// Threading: the fused kernel self-schedules.  It plans chunks of pairs
-// (ChunkBoundary/ChunkCount, so the plan is a pure function of the sizes),
-// counts kept pairs per chunk to derive each chunk's output offset, writes
-// the next generation and in-chunk candidates data-parallel, and finishes
-// the few candidates that straddle chunk seams (plus the odd tail's pair)
-// serially.  Every atom and candidate value is produced by the same
-// single-rounded double operations whichever path computes it, so serial,
-// fused-serial, fused-parallel, and the SIMD cold start are bit-identical.
+// Threading: histogram rounds are serial at every thread count.  A merge is
+// a few flops per pair, so the sweep is bound by memory bandwidth and page
+// faults, and a data-parallel commit never beat serial on 4 cores.  Poly
+// refits scan their support and do scale, so PolyStore owns a pool and
+// self-schedules: it plans chunks of pairs (ChunkBoundary/ChunkCount, so the
+// plan is a pure function of the sizes), copies coefficients and refits
+// in-chunk candidates data-parallel, and finishes the few candidates that
+// straddle chunk seams (plus the odd tail's pair) serially.  Every atom and
+// candidate value is produced by the same single-rounded double operations
+// whichever path computes it, so serial, fused-serial, fused-parallel, and
+// the SIMD cold start are bit-identical.
 // ---------------------------------------------------------------------------
 
 // Histogram store: closed-form sufficient statistics, O(1) per merge.  The
@@ -171,45 +166,64 @@ class HistogramStore {
 
   size_t size() const { return len_.size(); }
 
-  void EvaluatePairs(size_t num_pairs, ThreadPool* pool,
-                     std::vector<double>& err) {
+  void EvaluatePairs(size_t num_pairs, std::vector<double>& err) {
     ++EngineCountersForTesting().evaluate_passes;
     cand_len_.resize(num_pairs);
     cand_sum_.resize(num_pairs);
     cand_sumsq_.resize(num_pairs);
     err.resize(num_pairs);
-    err_out_ = err.data();
-    ParallelFor(
-        pool, 0, static_cast<int64_t>(num_pairs), kHistogramGrain,
-        [this](int64_t chunk_begin, int64_t chunk_end) {
-          const size_t lo = static_cast<size_t>(chunk_begin);
-          const size_t count = static_cast<size_t>(chunk_end - chunk_begin);
-          simd::PairwiseSum(sum_.data() + 2 * lo, count,
-                            cand_sum_.data() + lo);
-          simd::PairwiseSum(sumsq_.data() + 2 * lo, count,
-                            cand_sumsq_.data() + lo);
-          simd::PairwiseSum(len_.data() + 2 * lo, count,
-                            cand_len_.data() + lo);
-          simd::ResidualError(cand_sum_.data() + lo, cand_sumsq_.data() + lo,
-                              cand_len_.data() + lo, count, err_out_ + lo);
-        },
-        kDoubleAlign);
+    simd::PairwiseSum(sum_.data(), num_pairs, cand_sum_.data());
+    simd::PairwiseSum(sumsq_.data(), num_pairs, cand_sumsq_.data());
+    simd::PairwiseSum(len_.data(), num_pairs, cand_len_.data());
+    simd::ResidualError(cand_sum_.data(), cand_sumsq_.data(),
+                        cand_len_.data(), num_pairs, err.data());
   }
 
+  // One fused streaming sweep: commit pair p's outcome, and as soon as an
+  // adjacent output pair (2i, 2i+1) is complete, produce its candidate
+  // statistics and error while both atoms are still in registers/L1.
+  // Candidate writes land at index i, and by the output recursion
+  // o <= 2p + 2 every write index is <= p with equality only for a kept
+  // pair (whose candidate slot is dead) — so the candidate planes and the
+  // error vector are safely reused in place.
   void CommitAndEvaluate(const std::vector<char>& keep_split,
-                         size_t num_pairs, ThreadPool* pool,
-                         std::vector<double>& err) {
+                         size_t num_pairs, std::vector<double>& err) {
     ++EngineCountersForTesting().fused_passes;
-    const int64_t chunks =
-        pool == nullptr
-            ? 1
-            : ChunkCount(static_cast<int64_t>(num_pairs), kHistogramGrain,
-                         pool->num_threads());
-    if (chunks <= 1) {
-      CommitAndEvaluateSerial(keep_split, num_pairs, err);
-    } else {
-      CommitAndEvaluateParallel(keep_split, num_pairs, pool, chunks, err);
+    next_len_.clear();
+    next_sum_.clear();
+    next_sumsq_.clear();
+    size_t ci = 0;  // next candidate index to produce
+    const auto emit_ready = [&] {
+      const size_t ready = next_len_.size() / 2;
+      for (; ci < ready; ++ci) EvaluateCandidate(ci, err);
+    };
+    for (size_t p = 0; p < num_pairs; ++p) {
+      if (keep_split[p]) {
+        for (const size_t i : {2 * p, 2 * p + 1}) {
+          next_len_.push_back(len_[i]);
+          next_sum_.push_back(sum_[i]);
+          next_sumsq_.push_back(sumsq_[i]);
+        }
+      } else {
+        next_len_.push_back(cand_len_[p]);
+        next_sum_.push_back(cand_sum_[p]);
+        next_sumsq_.push_back(cand_sumsq_[p]);
+      }
+      emit_ready();
     }
+    if (size() % 2 == 1) {
+      next_len_.push_back(len_.back());
+      next_sum_.push_back(sum_.back());
+      next_sumsq_.push_back(sumsq_.back());
+      emit_ready();
+    }
+    err.resize(ci);
+    cand_len_.resize(ci);
+    cand_sum_.resize(ci);
+    cand_sumsq_.resize(ci);
+    len_.swap(next_len_);
+    sum_.swap(next_sum_);
+    sumsq_.swap(next_sumsq_);
   }
 
   void Commit(const std::vector<char>& keep_split, size_t num_pairs,
@@ -267,174 +281,19 @@ class HistogramStore {
   }
 
  private:
-  // One fused streaming sweep: commit pair p's outcome, and as soon as an
-  // adjacent output pair (2i, 2i+1) is complete, produce its candidate
-  // statistics and error while both atoms are still in registers/L1.
-  // Candidate writes land at index i, and by the output recursion
-  // o <= 2p + 2 every write index is <= p with equality only for a kept
-  // pair (whose candidate slot is dead) — so the candidate planes and the
-  // error vector are safely reused in place.
-  void CommitAndEvaluateSerial(const std::vector<char>& keep_split,
-                               size_t num_pairs, std::vector<double>& err) {
-    next_len_.clear();
-    next_sum_.clear();
-    next_sumsq_.clear();
-    size_t ci = 0;  // next candidate index to produce
-    const auto emit_ready = [&] {
-      const size_t ready = next_len_.size() / 2;
-      for (; ci < ready; ++ci) {
-        EvaluateCandidate(ci, cand_len_.data(), cand_sum_.data(),
-                          cand_sumsq_.data(), err.data());
-      }
-    };
-    for (size_t p = 0; p < num_pairs; ++p) {
-      if (keep_split[p]) {
-        for (const size_t i : {2 * p, 2 * p + 1}) {
-          next_len_.push_back(len_[i]);
-          next_sum_.push_back(sum_[i]);
-          next_sumsq_.push_back(sumsq_[i]);
-        }
-      } else {
-        next_len_.push_back(cand_len_[p]);
-        next_sum_.push_back(cand_sum_[p]);
-        next_sumsq_.push_back(cand_sumsq_[p]);
-      }
-      emit_ready();
-    }
-    if (size() % 2 == 1) {
-      next_len_.push_back(len_.back());
-      next_sum_.push_back(sum_.back());
-      next_sumsq_.push_back(sumsq_.back());
-      emit_ready();
-    }
-    FinishFusedRound(ci, err);
-    cand_len_.resize(ci);
-    cand_sum_.resize(ci);
-    cand_sumsq_.resize(ci);
-  }
-
-  // The data-parallel fused sweep.  Chunk output offsets are derived from
-  // per-chunk kept counts (pair p's output offset is p + kept-before-p), so
-  // every chunk writes its slice of the next generation by index; each
-  // chunk then evaluates the candidates wholly inside its output slice, and
-  // the at-most-one candidate per seam (odd offset) plus the tail's pair
-  // are finished serially after the barrier.  Candidate writes go to
-  // double-buffered planes here: unlike the serial sweep, a chunk's
-  // candidate indices can overlap an earlier chunk's still-unread pair
-  // slots.
-  void CommitAndEvaluateParallel(const std::vector<char>& keep_split,
-                                 size_t num_pairs, ThreadPool* pool,
-                                 int64_t chunks, std::vector<double>& err) {
-    const size_t n = size();
-    chunk_bounds_.resize(static_cast<size_t>(chunks) + 1);
-    chunk_out_.resize(static_cast<size_t>(chunks) + 1);
-    for (int64_t c = 0; c <= chunks; ++c) {
-      chunk_bounds_[static_cast<size_t>(c)] = ChunkBoundary(
-          0, static_cast<int64_t>(num_pairs), chunks, c, kDoubleAlign);
-    }
-    keep_in_ = keep_split.data();
-    pool->ParallelFor(0, chunks, 1, [this](int64_t cb, int64_t ce) {
-      for (int64_t c = cb; c < ce; ++c) {
-        size_t kept = 0;
-        for (int64_t p = chunk_bounds_[static_cast<size_t>(c)];
-             p < chunk_bounds_[static_cast<size_t>(c) + 1]; ++p) {
-          kept += keep_in_[p] != 0;
-        }
-        chunk_out_[static_cast<size_t>(c) + 1] = kept;  // prefix below
-      }
-    });
-    chunk_out_[0] = 0;
-    for (int64_t c = 0; c < chunks; ++c) {
-      chunk_out_[static_cast<size_t>(c) + 1] +=
-          chunk_out_[static_cast<size_t>(c)] +
-          static_cast<size_t>(chunk_bounds_[static_cast<size_t>(c) + 1] -
-                              chunk_bounds_[static_cast<size_t>(c)]);
-    }
-    const size_t from_pairs = chunk_out_[static_cast<size_t>(chunks)];
-    const size_t next_size = from_pairs + (n & 1);
-    const size_t next_num_pairs = next_size / 2;
-    next_len_.resize(next_size);
-    next_sum_.resize(next_size);
-    next_sumsq_.resize(next_size);
-    pcand_len_.resize(next_num_pairs);
-    pcand_sum_.resize(next_num_pairs);
-    pcand_sumsq_.resize(next_num_pairs);
-    if (n & 1) {  // odd tail, written before the dispatch so a tail-closing
-                  // candidate (fixed up below) reads committed data
-      next_len_[next_size - 1] = len_.back();
-      next_sum_[next_size - 1] = sum_.back();
-      next_sumsq_[next_size - 1] = sumsq_.back();
-    }
-    err.resize(next_num_pairs);  // disjoint writes only; nothing reads err
-    err_out_ = err.data();
-    pool->ParallelFor(0, chunks, 1, [this](int64_t cb, int64_t ce) {
-      for (int64_t c = cb; c < ce; ++c) {
-        const size_t out_end = chunk_out_[static_cast<size_t>(c) + 1];
-        size_t o = chunk_out_[static_cast<size_t>(c)];
-        for (int64_t p = chunk_bounds_[static_cast<size_t>(c)];
-             p < chunk_bounds_[static_cast<size_t>(c) + 1]; ++p) {
-          if (keep_in_[p]) {
-            for (const size_t i :
-                 {2 * static_cast<size_t>(p), 2 * static_cast<size_t>(p) + 1}) {
-              next_len_[o] = len_[i];
-              next_sum_[o] = sum_[i];
-              next_sumsq_[o] = sumsq_[i];
-              ++o;
-            }
-          } else {
-            next_len_[o] = cand_len_[static_cast<size_t>(p)];
-            next_sum_[o] = cand_sum_[static_cast<size_t>(p)];
-            next_sumsq_[o] = cand_sumsq_[static_cast<size_t>(p)];
-            ++o;
-          }
-        }
-        for (size_t i = (chunk_out_[static_cast<size_t>(c)] + 1) / 2;
-             2 * i + 1 < out_end; ++i) {
-          EvaluateCandidate(i, pcand_len_.data(), pcand_sum_.data(),
-                            pcand_sumsq_.data(), err_out_);
-        }
-      }
-    });
-    // Seam and tail candidates: the pair straddling each odd chunk-output
-    // boundary, and the last pair when it closes over the odd tail.
-    for (int64_t c = 1; c < chunks; ++c) {
-      const size_t off = chunk_out_[static_cast<size_t>(c)];
-      if (off & 1) {
-        EvaluateCandidate((off - 1) / 2, pcand_len_.data(),
-                          pcand_sum_.data(), pcand_sumsq_.data(), err_out_);
-      }
-    }
-    if (2 * next_num_pairs > from_pairs) {
-      EvaluateCandidate(next_num_pairs - 1, pcand_len_.data(),
-                        pcand_sum_.data(), pcand_sumsq_.data(), err_out_);
-    }
-    FinishFusedRound(next_num_pairs, err);
-    cand_len_.swap(pcand_len_);
-    cand_sum_.swap(pcand_sum_);
-    cand_sumsq_.swap(pcand_sumsq_);
-  }
-
   // Candidate i of the *next* generation, from the just-committed planes.
   // Scalar, but operation-for-operation identical to the PairwiseSum +
   // ResidualError kernel pair the cold start uses — that is what keeps the
   // fused rounds bit-identical to a kernel sweep.
-  void EvaluateCandidate(size_t i, double* out_len, double* out_sum,
-                         double* out_sumsq, double* out_err) const {
+  void EvaluateCandidate(size_t i, std::vector<double>& err) {
     const double l = next_len_[2 * i] + next_len_[2 * i + 1];
     const double s = next_sum_[2 * i] + next_sum_[2 * i + 1];
     const double ss = next_sumsq_[2 * i] + next_sumsq_[2 * i + 1];
-    out_len[i] = l;
-    out_sum[i] = s;
-    out_sumsq[i] = ss;
+    cand_len_[i] = l;
+    cand_sum_[i] = s;
+    cand_sumsq_[i] = ss;
     const double r = ss - s * s / l;
-    out_err[i] = r > 0.0 ? r : 0.0;
-  }
-
-  void FinishFusedRound(size_t next_num_pairs, std::vector<double>& err) {
-    err.resize(next_num_pairs);
-    len_.swap(next_len_);
-    sum_.swap(next_sum_);
-    sumsq_.swap(next_sumsq_);
+    err[i] = r > 0.0 ? r : 0.0;
   }
 
   int64_t origin_ = 0;
@@ -444,16 +303,6 @@ class HistogramStore {
   std::vector<double> cand_len_, cand_sum_, cand_sumsq_;
   // Next-generation double buffers (swapped in by the fused pass / Commit).
   std::vector<double> next_len_, next_sum_, next_sumsq_;
-  // Parallel-only candidate double buffers + the chunk plan (grown lazily:
-  // the serial path — including every 1-core run — never touches them).
-  std::vector<double> pcand_len_, pcand_sum_, pcand_sumsq_;
-  std::vector<int64_t> chunk_bounds_;
-  std::vector<size_t> chunk_out_;
-  // Raw views stashed for the <=16-byte [this] lambda captures (libstdc++'s
-  // std::function small-buffer limit, which keeps the serial-dispatch path
-  // allocation-free).
-  const char* keep_in_ = nullptr;
-  double* err_out_ = nullptr;
 };
 
 // Piecewise-polynomial store: merging refits the degree-d least-squares
@@ -463,19 +312,24 @@ class HistogramStore {
 // the whole construction sample-near-linear).  Coefficients live in a flat
 // plane of stride degree+1, zero-padded past each interval's effective
 // degree; bases are length-keyed cache entries shared by pointer.  The
-// fused round here is two-phase when threaded: interval/basis/error planes
-// and the per-length basis pre-warm are serial (GramBasisCache mutates on
-// first use of a length), then the expensive part — coefficient plane
-// copies and candidate refits — runs data-parallel.
+// refits are the engine's one data-parallel phase, over `pool` (null means
+// serial).  The fused round is two-phase when threaded: interval/basis/error
+// planes and the per-length basis pre-warm are serial (GramBasisCache
+// mutates on first use of a length), then the expensive part — coefficient
+// plane copies and candidate refits — runs data-parallel.
 class PolyStore {
  public:
-  PolyStore(const SparseFunction& q, GramBasisCache* cache, int degree)
-      : q_(&q), cache_(cache), stride_(static_cast<size_t>(degree) + 1) {}
+  PolyStore(const SparseFunction& q, GramBasisCache* cache, int degree,
+            ThreadPool* pool)
+      : q_(&q),
+        cache_(cache),
+        stride_(static_cast<size_t>(degree) + 1),
+        pool_(pool) {}
 
   // Fits the support partition of q.  The refits are data-parallel; bases
   // are fetched (and so built) serially first, because GramBasisCache
   // mutates on first use of a length.
-  void InitFromSupportPartition(ThreadPool* pool) {
+  void InitFromSupportPartition() {
     const std::vector<Interval> initial = SupportPartition(*q_);
     const size_t n = initial.size();
     begin_.resize(n);
@@ -488,7 +342,7 @@ class PolyStore {
       end_[i] = initial[i].end;
       basis_[i] = &cache_->For(initial[i].length());
     }
-    ParallelFor(pool, 0, static_cast<int64_t>(n), kPolyGrain,
+    ParallelFor(pool_, 0, static_cast<int64_t>(n), kPolyGrain,
                 [this](int64_t chunk_begin, int64_t chunk_end) {
                   std::vector<double> scratch;
                   for (int64_t i = chunk_begin; i < chunk_end; ++i) {
@@ -509,8 +363,7 @@ class PolyStore {
 
   size_t size() const { return begin_.size(); }
 
-  void EvaluatePairs(size_t num_pairs, ThreadPool* pool,
-                     std::vector<double>& err) {
+  void EvaluatePairs(size_t num_pairs, std::vector<double>& err) {
     ++EngineCountersForTesting().evaluate_passes;
     err.resize(num_pairs);
     cand_coeff_.resize(num_pairs * stride_);
@@ -526,7 +379,7 @@ class PolyStore {
       cand_basis_[p] = &cache_->For(static_cast<int64_t>(span_scratch_[p]));
     }
     err_out_ = err.data();
-    ParallelFor(pool, 0, static_cast<int64_t>(num_pairs), kPolyGrain,
+    ParallelFor(pool_, 0, static_cast<int64_t>(num_pairs), kPolyGrain,
                 [this](int64_t chunk_begin, int64_t chunk_end) {
                   std::vector<double> scratch;
                   for (int64_t p = chunk_begin; p < chunk_end; ++p) {
@@ -539,18 +392,17 @@ class PolyStore {
   }
 
   void CommitAndEvaluate(const std::vector<char>& keep_split,
-                         size_t num_pairs, ThreadPool* pool,
-                         std::vector<double>& err) {
+                         size_t num_pairs, std::vector<double>& err) {
     ++EngineCountersForTesting().fused_passes;
     const int64_t chunks =
-        pool == nullptr
+        pool_ == nullptr
             ? 1
             : ChunkCount(static_cast<int64_t>(num_pairs), kPolyGrain,
-                         pool->num_threads());
+                         pool_->num_threads());
     if (chunks <= 1) {
       CommitAndEvaluateSerial(keep_split, num_pairs, err);
     } else {
-      CommitAndEvaluateParallel(keep_split, num_pairs, pool, chunks, err);
+      CommitAndEvaluateParallel(keep_split, num_pairs, chunks, err);
     }
   }
 
@@ -649,13 +501,13 @@ class PolyStore {
   // double-buffered plane because candidate indices can overlap earlier
   // chunks' still-unread slots.  Phase C: seam/tail candidates, serial.
   void CommitAndEvaluateParallel(const std::vector<char>& keep_split,
-                                 size_t num_pairs, ThreadPool* pool,
-                                 int64_t chunks, std::vector<double>& err) {
+                                 size_t num_pairs, int64_t chunks,
+                                 std::vector<double>& err) {
     chunk_bounds_.resize(static_cast<size_t>(chunks) + 1);
     chunk_out_.resize(static_cast<size_t>(chunks) + 1);
     for (int64_t c = 0; c <= chunks; ++c) {
       chunk_bounds_[static_cast<size_t>(c)] =
-          ChunkBoundary(0, static_cast<int64_t>(num_pairs), chunks, c, 1);
+          ChunkBoundary(0, static_cast<int64_t>(num_pairs), chunks, c);
     }
     next_begin_.clear();
     next_end_.clear();
@@ -695,7 +547,7 @@ class PolyStore {
     err.resize(next_num_pairs);  // disjoint writes; phase A consumed err
     err_out_ = err.data();
     keep_in_ = keep_split.data();
-    pool->ParallelFor(0, chunks, 1, [this](int64_t cb, int64_t ce) {
+    pool_->ParallelFor(0, chunks, 1, [this](int64_t cb, int64_t ce) {
       std::vector<double> scratch;
       for (int64_t c = cb; c < ce; ++c) {
         const size_t out_end = chunk_out_[static_cast<size_t>(c) + 1];
@@ -792,7 +644,8 @@ class PolyStore {
 
   const SparseFunction* q_;
   GramBasisCache* cache_;
-  size_t stride_;  // degree + 1 coefficient slots per atom
+  size_t stride_;     // degree + 1 coefficient slots per atom
+  ThreadPool* pool_;  // null: serial refits
 
   // Current partition planes.
   std::vector<int64_t> begin_, end_;
@@ -814,7 +667,9 @@ class PolyStore {
   std::vector<int64_t> chunk_bounds_;
   std::vector<size_t> chunk_out_;
   std::vector<double> scratch_;
-  // Raw views for the [this]-only lambda captures (see HistogramStore).
+  // Raw views stashed for the <=16-byte [this] lambda captures (libstdc++'s
+  // std::function small-buffer limit, which keeps the dispatch
+  // allocation-free).
   const char* keep_in_ = nullptr;
   double* err_out_ = nullptr;
 };
@@ -829,22 +684,9 @@ int64_t MaxSurvivingPieces(int64_t k, const MergingOptions& options) {
 // comment above the stores).  Both selection strategies rank under the same
 // strict (error desc, index asc) total order, so they pick identical pair
 // sets and the engine's two speeds are bit-for-bit interchangeable for any
-// store — as are its serial and threaded modes, because pair evaluation
-// writes disjoint slots and selection only reads the finished error plane.
+// store — as are poly's serial and threaded modes, because its refits
+// write disjoint slots and selection only reads the finished error plane.
 namespace {
-
-// Round-persistent scratch of the threshold-select mark pass: the chunk
-// plan and per-chunk tie accounting, plus raw views and the threshold so
-// the dispatch lambdas can capture a single reference (within
-// std::function's small-buffer limit — no per-round closure allocation).
-struct ThresholdMarkScratch {
-  std::vector<int64_t> bounds;
-  std::vector<size_t> above, ties, ties_before;
-  const double* err = nullptr;
-  char* marks = nullptr;
-  double threshold = 0.0;
-  size_t tie_quota = 0;
-};
 
 // Marks the top `num_keep` pairs under the strict (error desc, index asc)
 // total order.  kSort is the reference formulation: sort an index
@@ -853,15 +695,13 @@ struct ThresholdMarkScratch {
 // num_keep-th largest error, then a sequential mark pass keeps everything
 // strictly above the threshold plus the first (num_keep - #above)
 // threshold ties in index order — the same set the sorted prefix contains,
-// without ever chasing an index indirection.  The mark pass is
-// data-parallel when a pool is available: per-chunk above/tie counts, a
-// serial prefix over the (few) chunks, then disjoint marking with each
-// chunk's global tie rank in hand.
+// without ever chasing an index indirection.  The mark pass is a byte-wide
+// scan and stays serial: it is bandwidth-bound like the histogram rounds.
 void MarkKeepSplit(SelectionStrategy strategy,
                    const std::vector<double>& candidate_err, size_t num_pairs,
-                   size_t num_keep, ThreadPool* pool,
-                   std::vector<size_t>& order, std::vector<double>& scratch,
-                   ThresholdMarkScratch& mark, std::vector<char>& keep_split) {
+                   size_t num_keep, std::vector<size_t>& order,
+                   std::vector<double>& scratch,
+                   std::vector<char>& keep_split) {
   keep_split.resize(num_pairs);
   if (num_keep >= num_pairs) {
     std::fill(keep_split.begin(), keep_split.end(), 1);
@@ -908,80 +748,25 @@ void MarkKeepSplit(SelectionStrategy strategy,
     threshold = scratch[num_keep - 1];
   }
 
-  const int64_t chunks =
-      pool == nullptr ? 1
-                      : ChunkCount(static_cast<int64_t>(num_pairs),
-                                   kSelectGrain, pool->num_threads());
-  if (chunks <= 1) {
-    size_t above = 0;
-    for (size_t p = 0; p < num_pairs; ++p) above += candidate_err[p] > threshold;
-    size_t tie_quota = num_keep - above;  // >= 1: the threshold itself ties
-    for (size_t p = 0; p < num_pairs; ++p) {  // every slot written: no
-                                              // zero-fill sweep needed
-      char mark_p = 0;
-      if (candidate_err[p] > threshold) {
-        mark_p = 1;
-      } else if (candidate_err[p] == threshold && tie_quota > 0) {
-        mark_p = 1;
-        --tie_quota;
-      }
-      keep_split[p] = mark_p;
+  size_t above = 0;
+  for (size_t p = 0; p < num_pairs; ++p) above += candidate_err[p] > threshold;
+  size_t tie_quota = num_keep - above;  // >= 1: the threshold itself ties
+  for (size_t p = 0; p < num_pairs; ++p) {  // every slot written: no
+                                            // zero-fill sweep needed
+    char mark_p = 0;
+    if (candidate_err[p] > threshold) {
+      mark_p = 1;
+    } else if (candidate_err[p] == threshold && tie_quota > 0) {
+      mark_p = 1;
+      --tie_quota;
     }
-    return;
+    keep_split[p] = mark_p;
   }
-
-  mark.bounds.resize(static_cast<size_t>(chunks) + 1);
-  for (int64_t c = 0; c <= chunks; ++c) {
-    mark.bounds[static_cast<size_t>(c)] = ChunkBoundary(
-        0, static_cast<int64_t>(num_pairs), chunks, c, kByteAlign);
-  }
-  mark.above.assign(static_cast<size_t>(chunks), 0);
-  mark.ties.assign(static_cast<size_t>(chunks), 0);
-  mark.ties_before.assign(static_cast<size_t>(chunks), 0);
-  mark.err = candidate_err.data();
-  mark.marks = keep_split.data();
-  mark.threshold = threshold;
-  pool->ParallelFor(0, chunks, 1, [&mark](int64_t cb, int64_t ce) {
-    for (int64_t c = cb; c < ce; ++c) {
-      size_t a = 0, t = 0;
-      for (int64_t p = mark.bounds[static_cast<size_t>(c)];
-           p < mark.bounds[static_cast<size_t>(c) + 1]; ++p) {
-        a += mark.err[p] > mark.threshold;
-        t += mark.err[p] == mark.threshold;
-      }
-      mark.above[static_cast<size_t>(c)] = a;
-      mark.ties[static_cast<size_t>(c)] = t;
-    }
-  });
-  size_t total_above = 0;
-  size_t tie_cursor = 0;
-  for (int64_t c = 0; c < chunks; ++c) {
-    total_above += mark.above[static_cast<size_t>(c)];
-    mark.ties_before[static_cast<size_t>(c)] = tie_cursor;
-    tie_cursor += mark.ties[static_cast<size_t>(c)];
-  }
-  mark.tie_quota = num_keep - total_above;
-  pool->ParallelFor(0, chunks, 1, [&mark](int64_t cb, int64_t ce) {
-    for (int64_t c = cb; c < ce; ++c) {
-      size_t tie_rank = mark.ties_before[static_cast<size_t>(c)];
-      for (int64_t p = mark.bounds[static_cast<size_t>(c)];
-           p < mark.bounds[static_cast<size_t>(c) + 1]; ++p) {
-        char mark_p = 0;  // every slot written: no zero-fill sweep needed
-        if (mark.err[p] > mark.threshold) {
-          mark_p = 1;
-        } else if (mark.err[p] == mark.threshold) {
-          if (tie_rank < mark.tie_quota) mark_p = 1;
-          ++tie_rank;
-        }
-        mark.marks[p] = mark_p;
-      }
-    }
-  });
 }
 
 template <typename Store>
 long long RunRounds(Store& store, int64_t k, const MergingOptions& options,
-                    SelectionStrategy strategy, ThreadPool* pool) {
+                    SelectionStrategy strategy) {
   const int64_t keep = PairsKeptPerRound(k, options);
   const int64_t stop = StopThreshold(keep, options);
   long long num_rounds = 0;
@@ -992,7 +777,6 @@ long long RunRounds(Store& store, int64_t k, const MergingOptions& options,
   std::vector<double> candidate_err;
   std::vector<size_t> order;      // kSort ranking permutation
   std::vector<double> scratch;    // kSelect threshold scratch
-  ThresholdMarkScratch mark;      // kSelect parallel mark-pass scratch
   std::vector<char> keep_split;
   candidate_err.reserve(store.size() / 2);
   keep_split.reserve(store.size() / 2);
@@ -1009,12 +793,12 @@ long long RunRounds(Store& store, int64_t k, const MergingOptions& options,
   // in advance from the output-size recursion next = pairs + kept + tail)
   // skips the dead evaluation.
   size_t num_pairs = store.size() / 2;
-  store.EvaluatePairs(num_pairs, pool, candidate_err);
+  store.EvaluatePairs(num_pairs, candidate_err);
   while (true) {
     const size_t num_keep =
         std::min(static_cast<size_t>(keep), num_pairs);
-    MarkKeepSplit(strategy, candidate_err, num_pairs, num_keep, pool, order,
-                  scratch, mark, keep_split);
+    MarkKeepSplit(strategy, candidate_err, num_pairs, num_keep, order,
+                  scratch, keep_split);
     ++num_rounds;
     ++EngineCountersForTesting().rounds;
     const size_t next_size = num_pairs + num_keep + (store.size() & 1);
@@ -1022,7 +806,7 @@ long long RunRounds(Store& store, int64_t k, const MergingOptions& options,
       store.Commit(keep_split, num_pairs, candidate_err);
       break;
     }
-    store.CommitAndEvaluate(keep_split, num_pairs, pool, candidate_err);
+    store.CommitAndEvaluate(keep_split, num_pairs, candidate_err);
     num_pairs = next_size / 2;
   }
   return num_rounds;
@@ -1083,8 +867,7 @@ StatusOr<MergingResult> RunMergingRounds(int64_t domain_size,
   }
 
   HistogramStore store(atoms);
-  const long long num_rounds =
-      RunRounds(store, k, options, strategy, PoolFor(options));
+  const long long num_rounds = RunRounds(store, k, options, strategy);
   return store.Finish(domain_size, num_rounds);
 }
 
@@ -1106,11 +889,10 @@ StatusOr<PiecewisePolyResult> RunPolyMergingRounds(
         "tracked as exact doubles)");
   }
 
-  ThreadPool* pool = PoolFor(options);
   GramBasisCache cache(degree);
-  PolyStore store(q, &cache, degree);
-  store.InitFromSupportPartition(pool);
-  const long long num_rounds = RunRounds(store, k, options, strategy, pool);
+  PolyStore store(q, &cache, degree, PoolFor(options));
+  store.InitFromSupportPartition();
+  const long long num_rounds = RunRounds(store, k, options, strategy);
   return store.Finish(num_rounds);
 }
 

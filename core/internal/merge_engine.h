@@ -38,14 +38,16 @@ enum class SelectionStrategy { kSort, kSelect };
 // (CommitAndEvaluate): committing round r's survivors produces round
 // r+1's candidate statistics and errors while the planes are still hot, so
 // a round reads and writes every plane exactly once.  Candidate and
-// next-generation buffers persist across rounds (no per-round allocation),
-// and the fused pass is data-parallel over MergingOptions::num_threads
-// (util/parallel.h, clamped to the hardware by EffectiveParallelism) with
-// bit-identical output at any thread count.  Both entry points below share
-// the selection strategies, the (error, index) total order, the delta/gamma
-// round schedule, and the termination argument — which is what makes the
-// sqrt(1 + delta) guarantee a single proof and the engine a single
-// SIMD/threading target.
+// next-generation buffers persist across rounds (no per-round allocation).
+// Histogram rounds and selection are serial: a merge is a few flops per
+// pair, so the sweep is bandwidth-bound and threads never beat serial.  The
+// poly refits are the one data-parallel phase, over
+// MergingOptions::num_threads (util/parallel.h, clamped to the hardware by
+// EffectiveParallelism), with bit-identical output at any thread count.
+// Both entry points below share the selection strategies, the (error,
+// index) total order, the delta/gamma round schedule, and the termination
+// argument — which is what makes the sqrt(1 + delta) guarantee a single
+// proof and the engine a single SIMD target.
 
 // Test-only visibility into the engine's pass structure (thread-local, so
 // concurrent constructions — e.g. merge-tree groups on pool workers —

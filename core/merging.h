@@ -34,8 +34,8 @@ StatusOr<MergingResult> ConstructHistogram(
 // by a fresh ~2k+1-piece histogram, by running the merging algorithm over
 // the boundary-union pieces.  h1 and h2 must share a domain.  This is the
 // primitive behind the streaming builder and any distributed merge tree.
-// `options` carries the usual delta/gamma knobs plus num_threads for the
-// engine's data-parallel candidate pass (output is thread-count invariant).
+// `options` carries the usual delta/gamma knobs; num_threads is accepted
+// but histogram rounds are serial at every value (see MergingOptions).
 StatusOr<Histogram> MergeHistograms(const Histogram& h1, double weight1,
                                     const Histogram& h2, double weight2,
                                     int64_t k,

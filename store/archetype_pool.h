@@ -30,7 +30,8 @@ struct ArchetypeConfig {
   // slot's dyadic ladder one full window at a time (the
   // StreamingHistogramBuilder buffer_capacity, per key).
   size_t window_capacity = 64;
-  // delta/gamma/num_threads applied to every condense and merge.
+  // delta/gamma applied to every condense and merge (num_threads too, but
+  // histogram rounds are serial at every value).
   MergingOptions options;
 };
 

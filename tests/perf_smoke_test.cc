@@ -81,7 +81,8 @@ TEST(WarmConstructionAllocationsAreRoundCountIndependent) {
 // round), and a fused commit+evaluate for every round in between:
 // total plane sweeps == rounds + 1, where the pre-fusion engine spent
 // 2 * rounds.  The pass structure is thread-invariant, so the forced-
-// parallel run must report the identical shape.
+// parallel runs must report the identical shape — for poly, whose refits
+// are the engine's one threaded phase, as for the serial histogram rounds.
 TEST(FusedRoundMakesOneSweepOverThePlanes) {
   const SparseFunction q = Signal(1 << 15);
   const auto check_passes = [](long long expected_rounds) {
@@ -99,8 +100,8 @@ TEST(FusedRoundMakesOneSweepOverThePlanes) {
   check_passes(hist->num_rounds);
 
   internal::ResetEngineCountersForTesting();
-  auto poly = ConstructPiecewisePolynomial(Signal(1 << 12), 8, 2,
-                                           MergingOptions());
+  const SparseFunction poly_q = Signal(1 << 12);
+  auto poly = ConstructPiecewisePolynomial(poly_q, 8, 2, MergingOptions());
   CHECK_OK(poly);
   CHECK(poly->num_rounds > 2);
   check_passes(poly->num_rounds);
@@ -113,7 +114,39 @@ TEST(FusedRoundMakesOneSweepOverThePlanes) {
   CHECK_OK(threaded_hist);
   CHECK(threaded_hist->num_rounds == hist->num_rounds);
   check_passes(threaded_hist->num_rounds);
+
+  internal::ResetEngineCountersForTesting();
+  auto threaded_poly = ConstructPiecewisePolynomial(poly_q, 8, 2, threaded);
+  CHECK_OK(threaded_poly);
+  CHECK(threaded_poly->num_rounds == poly->num_rounds);
+  check_passes(threaded_poly->num_rounds);
   SetHardwareParallelismForTesting(0);
+}
+
+// Histogram rounds are serial at every thread count: num_threads drives
+// only the poly refits, so a warm histogram construction asking for 4
+// threads (on forced 4-core hardware, so the request is not clamped away)
+// must allocate exactly what the serial one does — no chunk plans, no
+// double-buffered candidate planes, no pool dispatch.
+TEST(ThreadedHistogramAllocatesLikeSerial) {
+  const SparseFunction q = Signal(1 << 18);
+  SetHardwareParallelismForTesting(4);
+  const auto warm_allocations = [&](int num_threads) {
+    MergingOptions options;
+    options.num_threads = num_threads;
+    auto warm = ConstructHistogramFast(q, 64, options);  // pools, buffers
+    CHECK_OK(warm);
+    const long long before = g_allocations.load(std::memory_order_relaxed);
+    auto probe = ConstructHistogramFast(q, 64, options);
+    const long long count =
+        g_allocations.load(std::memory_order_relaxed) - before;
+    CHECK_OK(probe);
+    return count;
+  };
+  const long long serial = warm_allocations(1);
+  const long long threaded = warm_allocations(4);
+  SetHardwareParallelismForTesting(0);
+  CHECK(threaded == serial);
 }
 
 // Reset() is the recycling contract the keyed store's slab design leans on:

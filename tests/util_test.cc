@@ -2,7 +2,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -140,32 +139,6 @@ TEST(ParallelForCoversRangeExactlyOnce) {
     for (int64_t i = b; i < e; ++i) ++hits[static_cast<size_t>(i)];
   });
   for (int h : hits) CHECK(h == 1);
-
-  // Boundary alignment: with align = a, every interior chunk seam lands on
-  // a multiple of `a` (so neighbouring chunks of a double plane never split
-  // a cache line), and coverage stays exactly-once.
-  {
-    ThreadPool& aligned_pool = ThreadPool::Shared(8);
-    for (const int64_t align : {1, 8, 64}) {
-      std::vector<int> hits(100000, 0);
-      std::mutex mu;
-      std::vector<int64_t> seams;
-      aligned_pool.ParallelFor(
-          0, 100000, 1024,
-          [&](int64_t chunk_begin, int64_t chunk_end) {
-            {
-              std::lock_guard<std::mutex> lock(mu);
-              seams.push_back(chunk_begin);
-            }
-            for (int64_t i = chunk_begin; i < chunk_end; ++i) {
-              ++hits[static_cast<size_t>(i)];
-            }
-          },
-          align);
-      for (int h : hits) CHECK(h == 1);
-      for (int64_t seam : seams) CHECK(seam % align == 0);
-    }
-  }
 
   // The oversubscription guard: EffectiveParallelism clamps a request to
   // the hardware (overridden here so the test is machine-independent) and

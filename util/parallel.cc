@@ -152,10 +152,9 @@ void ThreadPool::WorkerLoop(int worker_index) {
 
 void ThreadPool::ParallelFor(
     int64_t begin, int64_t end, int64_t grain,
-    const std::function<void(int64_t, int64_t)>& body, int64_t align) {
+    const std::function<void(int64_t, int64_t)>& body) {
   if (end <= begin) return;
   grain = std::max<int64_t>(grain, 1);
-  align = std::min(std::max<int64_t>(align, 1), grain);
   const int64_t range = end - begin;
   // Deterministic static partition: chunk count depends only on the range,
   // the grain, and the pool size — never on runtime scheduling.  Every
@@ -173,8 +172,8 @@ void ThreadPool::ParallelFor(
     chunks_.resize(static_cast<size_t>(max_chunks));
     for (int64_t c = 0; c < max_chunks; ++c) {
       chunks_[static_cast<size_t>(c)] = {
-          ChunkBoundary(begin, range, max_chunks, c, align),
-          ChunkBoundary(begin, range, max_chunks, c + 1, align)};
+          ChunkBoundary(begin, range, max_chunks, c),
+          ChunkBoundary(begin, range, max_chunks, c + 1)};
     }
     body_ = &body;
     pending_ = static_cast<int>(max_chunks) - 1;

@@ -15,7 +15,7 @@ namespace fasthist {
 // A small reusable thread pool with one data-parallel primitive,
 // ParallelFor.  Partitioning is static and deterministic: the range is cut
 // into contiguous chunks whose boundaries depend only on
-// (begin, end, grain, align, num_threads), and there is no work stealing —
+// (begin, end, grain, num_threads), and there is no work stealing —
 // so which thread runs which chunk never affects which elements a chunk
 // contains.  Callers that write disjoint outputs per index therefore get
 // results that are bit-identical to the serial loop, which is the contract
@@ -26,10 +26,6 @@ namespace fasthist {
 //   * minimum work per task: every chunk is at least `grain` elements, so
 //     the chunk count is min(num_threads, range / grain) — a range shorter
 //     than two grains never dispatches, it runs serial on the caller;
-//   * boundary alignment: interior chunk boundaries are rounded down to a
-//     multiple of `align` elements (relative to `begin`), so writers of
-//     adjacent chunks do not share a cache line at the seam when align is
-//     chosen as a cache line's worth of elements (8 for doubles);
 //   * oversubscription guard: EffectiveParallelism clamps a requested
 //     thread count to the hardware before a pool is ever chosen, so asking
 //     for 8 threads on a 1-core container degrades to the serial path
@@ -40,18 +36,16 @@ namespace fasthist {
 // ThreadPool(1) degrades to a plain serial loop with no synchronization.
 
 // The interior boundary of chunk `c` out of `chunks` over [begin,
-// begin + range), rounded down to a multiple of `align` relative to
-// `begin`.  Pure in its arguments — this is the single source of truth for
-// the pool's static partitioning, shared with callers (the merge engine's
-// fused kernel) that plan the same chunks to precompute per-chunk prefix
-// state.  With range >= chunks * grain and align <= grain every chunk is
+// begin + range).  Pure in its arguments — this is the single source of
+// truth for the pool's static partitioning, shared with callers (the merge
+// engine's fused poly kernel) that plan the same chunks to precompute
+// per-chunk prefix state.  With range >= chunks * grain every chunk is
 // non-empty.
 inline int64_t ChunkBoundary(int64_t begin, int64_t range, int64_t chunks,
-                             int64_t c, int64_t align) {
+                             int64_t c) {
   if (c <= 0) return begin;
   if (c >= chunks) return begin + range;
-  const int64_t raw = range * c / chunks;
-  return begin + raw / align * align;
+  return begin + range * c / chunks;
 }
 
 // The deterministic chunk count for a range: at most `tasks`, with every
@@ -107,9 +101,8 @@ class ThreadPool {
   int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
 
   // Invokes body(chunk_begin, chunk_end) over disjoint chunks covering
-  // [begin, end), each at least `grain` long, with interior boundaries
-  // rounded down to `align` (clamped into [1, grain]), and blocks until
-  // every chunk has finished.  A range shorter than two grains runs inline
+  // [begin, end), each at least `grain` long, and blocks until every chunk
+  // has finished.  A range shorter than two grains runs inline
   // on the caller.  Safe to call from multiple threads; concurrent calls
   // serialize against each other.  Reentrant calls from inside `body` run
   // inline (serial).  Exception-safe: never returns (or unwinds) while a
@@ -117,8 +110,7 @@ class ThreadPool {
   // the first one is rethrown on the calling thread after the barrier, a
   // throw from the caller's own chunk propagates after the barrier.
   void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                   const std::function<void(int64_t, int64_t)>& body,
-                   int64_t align = 1);
+                   const std::function<void(int64_t, int64_t)>& body);
 
   // Process-wide pool registry: one lazily-created pool per distinct thread
   // count, so repeated merge calls reuse threads instead of respawning them.
@@ -155,14 +147,13 @@ class ThreadPool {
 // when the effective thread count is 1.
 inline void ParallelFor(ThreadPool* pool, int64_t begin, int64_t end,
                         int64_t grain,
-                        const std::function<void(int64_t, int64_t)>& body,
-                        int64_t align = 1) {
+                        const std::function<void(int64_t, int64_t)>& body) {
   if (end <= begin) return;
   if (pool == nullptr || end - begin < 2 * std::max<int64_t>(grain, 1)) {
     body(begin, end);
     return;
   }
-  pool->ParallelFor(begin, end, grain, body, align);
+  pool->ParallelFor(begin, end, grain, body);
 }
 
 }  // namespace fasthist
