@@ -73,7 +73,8 @@ void ResetEngineCountersForTesting();
 // a partition that starts at or below that threshold is returned as-is —
 // so every output satisfies pieces <= min(this bound, domain_size).
 // Callers that pre-size fixed-capacity buffers for engine outputs (the
-// striped ingestor's lock-free summary planes) size them with this.
+// keyed store's per-level summary planes, store/archetype_pool.h) size
+// them with this.
 int64_t MaxSurvivingPieces(int64_t k, const MergingOptions& options);
 
 // Initial sample-linear partition of q: alternating zero-run atoms and

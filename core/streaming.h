@@ -37,8 +37,8 @@ class StreamingHistogramBuilder {
       const MergingOptions& options = MergingOptions());
 
   // Copyable (tests snapshot builder state by value) and movable: pools
-  // that recycle builders — or hand them between stripes — can move-assign
-  // into an existing slot without reallocating the destination's buffers.
+  // that recycle builders can move-assign into an existing slot without
+  // reallocating the destination's buffers.
   StreamingHistogramBuilder(const StreamingHistogramBuilder&) = default;
   StreamingHistogramBuilder& operator=(const StreamingHistogramBuilder&) =
       default;
@@ -88,15 +88,13 @@ class StreamingHistogramBuilder {
     return summarized_count_ + static_cast<int64_t>(buffer_.size());
   }
 
-  // --- Generation hooks for concurrent wrappers ---------------------------
+  // --- Commit-state accessors --------------------------------------------
   //
-  // The builder itself is single-writer and unsynchronized; these hooks are
-  // what service/striped_ingestor.h's seqlock protocol is built from.  The
-  // generation counts committed condenses (buffer -> ladder commits), so a
-  // wrapper can tag everything it republishes for concurrent readers with
-  // the generation it was derived from, bracket the builder's mutation
-  // window with an odd/even epoch, and detect "a condense happened while I
-  // was reading" as a generation change.
+  // The builder is single-writer and unsynchronized.  These read-only views
+  // of its commit state (how many condenses have committed, and how the
+  // samples split between the buffer and the ladder) let tests pin down
+  // the commit accounting from outside: that Peek never commits, that a
+  // copy commits independently of its source, and that Reset starts over.
 
   // Committed condenses so far; bumped exactly once per buffer commit
   // (Flush with a non-empty buffer), never by Peek.
@@ -114,8 +112,8 @@ class StreamingHistogramBuilder {
   // One "level" is one lossy step: a buffer condense, a committed carry
   // merge, or the read-side fold pass that chains the live slots (and the
   // buffered remainder) left to right — the same convention as
-  // MergeTreeResult::error_levels and StripedShardIngestor's
-  // kReconcileErrorLevels, so budgets compose additively across layers.
+  // MergeTreeResult::error_levels and ShardSnapshot::error_levels, so
+  // budgets compose additively across layers.
 
   // 1 + the highest occupied ladder level (0 when nothing is committed):
   // the deepest commit-side chain any sample has passed through, counting
@@ -137,14 +135,14 @@ class StreamingHistogramBuilder {
   // The committed ladder folded to a single histogram (valid only when
   // summarized_count() > 0): live slots chained oldest (highest level)
   // first, with no buffered remainder mixed in.  This is the exact prefix
-  // of the Peek() fold, so a wrapper that republishes it and later folds a
-  // buffer copy in with FoldBufferIntoSummary reproduces Peek()
-  // bit-identically (the striped ingestor's export path).
+  // of the Peek() fold, so folding the buffer in with FoldBufferIntoSummary
+  // reproduces Peek() bit-identically; FoldedView is built from exactly
+  // these two steps.
   StatusOr<Histogram> CommittedSummary() const;
 
-  // The condense+fold step the read path is built from, exposed so wrappers
+  // The condense+fold step the read path is built from, exposed so callers
   // can run the exact same computation on state they manage themselves
-  // (e.g. a seqlock-consistent copy read off another thread's stripe):
+  // (the keyed store's archetype pool runs it over its SoA window planes):
   // condenses `buffer` (non-empty, in-domain) to a ~2k+1-piece histogram
   // and, when `summary` is non-null, folds it in with weights
   // (summarized_count : buffer.size()).  Pure: no builder involved,
@@ -184,8 +182,7 @@ class StreamingHistogramBuilder {
   // The Peek() computation: fold the live ladder slots highest level first,
   // then chain the condensed buffer in.  Snapshot() returns this value
   // computed *before* its Flush commits, which is what keeps Peek() ==
-  // Snapshot() bit-identical, and the striped ingestor's exports
-  // bit-identical to a per-stripe serial replay.
+  // Snapshot() bit-identical.
   StatusOr<Histogram> FoldedView() const;
 
   int64_t domain_size_;

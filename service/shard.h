@@ -41,11 +41,10 @@ class ShardIngestor {
   // StreamingHistogramBuilder::Peek, so exporting never flushes the buffer
   // or perturbs the summaries later ingest will produce.  Callers must
   // serialize exports against concurrent Ingest calls on the same shard —
-  // this class is the simple single-writer front-end.  When many threads
-  // feed one shard, or exports must run while writers keep appending, use
-  // StripedShardIngestor (service/striped_ingestor.h): same snapshot
-  // format, wait-free concurrent appends, and exports that never block
-  // writers.
+  // this class is single-writer.  To scale writers, give each its own
+  // ShardIngestor (or key-hash partition, as net/sharded_ingest_server.h
+  // does) and fold their snapshots through ReduceSnapshots: a merge costs
+  // one more error level, never shared mutable state.
   StatusOr<ShardSnapshot> ExportSnapshot() const;
 
  private:

@@ -209,8 +209,8 @@ TEST(HierarchicalServesAllScales) {
 
 TEST(MaxSurvivingPiecesBoundsEveryEngineOutput) {
   // internal::MaxSurvivingPieces is the pre-sizing contract for
-  // fixed-capacity consumers of engine outputs (the striped ingestor's
-  // atomic summary planes): every construction and merge must fit inside
+  // fixed-capacity consumers of engine outputs (the keyed store's
+  // per-level summary planes): every construction and merge must fit inside
   // min(bound, domain_size) — across the knob sweeps that move the round
   // schedule's clamps around.
   Rng rng(0xb0fd'2026);

@@ -474,22 +474,24 @@ TEST(MergeHistogramsIsAssociativeUpToTolerance) {
   }
 }
 
-TEST(StripedReconciliationWithinSqrtOnePlusDeltaBound) {
-  // The striped ingestor's reconcile is one extra merge level: per-stripe
-  // degree-d summaries h_i (with construction errors e_i against their own
-  // streams q_i) are folded by one more construction over their weighted
-  // mixture.  Triangle inequality + Theorem 3.3 turn that into a provable
-  // bound on the reconciled error against the POOLED stream q = sum w_i q_i:
+TEST(OneMergeLevelWithinSqrtOnePlusDeltaBound) {
+  // One weighted merge level: per-input degree-d summaries h_i (with
+  // construction errors e_i against their own streams q_i) are folded by
+  // one more construction over their weighted mixture.  Triangle
+  // inequality + Theorem 3.3 turn that into a provable bound on the merged
+  // error against the POOLED stream q = sum w_i q_i:
   //
-  //   err(reconciled, q) <= err(reconciled, sum w_i h_i) + sum w_i e_i
-  //                      <= sqrt(1+delta) * opt_k(sum w_i h_i) + sum w_i e_i
-  //                      <= sqrt(1+delta) * (opt_k(q) + sum w_i e_i)
-  //                         + sum w_i e_i
+  //   err(merged, q) <= err(merged, sum w_i h_i) + sum w_i e_i
+  //                  <= sqrt(1+delta) * opt_k(sum w_i h_i) + sum w_i e_i
+  //                  <= sqrt(1+delta) * (opt_k(q) + sum w_i e_i)
+  //                     + sum w_i e_i
   //
   // — i.e. one extra sqrt(1+delta) factor and one extra weighted-error
-  // term, exactly the "one merge level" the ingestor's error accounting
-  // charges (StripedShardIngestor::kReconcileErrorLevels).  Verified at
-  // degrees 0-3 against the exact DP optimum.
+  // term.  That is the level ReduceSummaries charges per tree level in
+  // MergeTreeResult::error_levels, and the level that
+  // PartitionedSummaryStore::MergeAllMatching pays when it folds the
+  // per-partition aggregates.  Verified at degrees 0-3 against the exact
+  // DP optimum.
   const int64_t n = 96;
   for (int degree = 0; degree <= 3; ++degree) {
     for (uint64_t seed = 0; seed < 6; ++seed) {
@@ -707,7 +709,7 @@ TEST(StreamingLadderDriftBoundOverThousandsOfFlushes) {
 TEST(DyadicCarryMergesWithinSqrtOnePlusDeltaDegrees0to3) {
   // Every carry merge in the condensation ladder is one Theorem 3.3
   // construction over the weighted mixture of its two inputs, so each tree
-  // node obeys the same bound StripedReconciliation verifies for one level:
+  // node obeys the same bound OneMergeLevel verifies for one level:
   //
   //   err(node, pooled) <= sqrt(1+delta) * (opt_k(pooled) + W) + W,
   //   W = sum_children w_i * err(child, pooled_child)

@@ -16,7 +16,6 @@
 #include "service/aggregator.h"
 #include "service/merge_tree.h"
 #include "service/shard.h"
-#include "service/striped_ingestor.h"
 #include "service/wire_format.h"
 #include "tests/fasthist_test.h"
 #include "tests/histogram_testutil.h"
@@ -456,6 +455,45 @@ TEST(MergeTreeDepthAndErrorAccounting) {
             static_cast<double>(num_shards) * 500.0);
     }
   }
+  {
+    // An uneven fleet: leaves at different ladder depths.  The tree charges
+    // one level on top of the deepest leaf, not the sum of the leaves'
+    // levels, and the aggregate still tracks the pooled stream.
+    const int64_t uneven_domain = 2000;
+    const int64_t k = 10;
+    auto uneven_p = NormalizeToDistribution(
+        MakeHistDataset({uneven_domain, 20260807, 10, 20.0, 100.0, 1.0}));
+    CHECK_OK(uneven_p);
+    auto uneven_sampler = AliasSampler::Create(*uneven_p);
+    CHECK_OK(uneven_sampler);
+    std::vector<ShardSnapshot> uneven;
+    std::vector<int64_t> pooled;
+    const size_t counts[2] = {30000, 60000};
+    for (uint64_t shard = 0; shard < 2; ++shard) {
+      auto ingestor = ShardIngestor::Create(shard, uneven_domain, k, 2048);
+      CHECK_OK(ingestor);
+      Rng shard_rng(501 + shard);
+      const std::vector<int64_t> samples =
+          uneven_sampler->SampleMany(counts[shard], &shard_rng);
+      CHECK(ingestor->Ingest(samples).ok());
+      pooled.insert(pooled.end(), samples.begin(), samples.end());
+      uneven.push_back(std::move(ingestor->ExportSnapshot()).value());
+    }
+    // 30000 samples on a 2048 window = 14 condenses (0b1110: 3 live slots,
+    // depth 4) plus a buffered remainder -> 5 levels; 60000 = 29 condenses
+    // (0b11101: 4 live slots, depth 5) plus a buffered remainder -> 6.
+    CHECK(uneven[0].error_levels == 5);
+    CHECK(uneven[1].error_levels == 6);
+    auto reduced = ReduceSnapshots(uneven, k);
+    CHECK_OK(reduced);
+    CHECK(reduced->total_weight == 90000.0);
+    CHECK(reduced->error_levels == 7);
+    auto empirical = EmpiricalDistribution(uneven_domain, pooled);
+    CHECK_OK(empirical);
+    CHECK(std::sqrt(reduced->aggregate.L2DistanceSquaredTo(*empirical)) <
+          0.05);
+  }
+
   // Degenerate inputs.
   CHECK(!ReduceSnapshots({}, 8).ok());
   MergeTreeOptions bad_fan_in;
@@ -655,76 +693,6 @@ TEST(ServiceEndToEndQuantiles) {
     // served quantile must stay within a few percent of the domain.
     CHECK(std::abs(served - exact) <= domain / 20);
   }
-}
-
-TEST(StripedSnapshotFeedsMergeTreeLikeAnyShard) {
-  // A striped ingestor's export is a plain ShardSnapshot: it reduces
-  // through ReduceSnapshots next to single-writer shards, counts its
-  // samples in total_weight, and the mixed-fleet aggregate still tracks
-  // the pooled stream.
-  const int64_t domain = 2000;
-  const int64_t k = 10;
-  auto p = NormalizeToDistribution(MakeHistDataset({domain, 20260807, 10,
-                                                    20.0, 100.0, 1.0}));
-  CHECK_OK(p);
-  auto sampler = AliasSampler::Create(*p);
-  CHECK_OK(sampler);
-
-  std::vector<ShardSnapshot> snapshots;
-  std::vector<int64_t> pooled;
-
-  auto plain = ShardIngestor::Create(0, domain, k, 2048);
-  CHECK_OK(plain);
-  Rng plain_rng(501);
-  const std::vector<int64_t> plain_samples = sampler->SampleMany(30000,
-                                                                 &plain_rng);
-  CHECK(plain->Ingest(plain_samples).ok());
-  pooled.insert(pooled.end(), plain_samples.begin(), plain_samples.end());
-  snapshots.push_back(std::move(plain->ExportSnapshot()).value());
-
-  auto striped = StripedShardIngestor::Create(1, domain, k, 2048,
-                                              MergingOptions(), 4);
-  CHECK_OK(striped);
-  for (int w = 0; w < 4; ++w) {
-    auto writer = (*striped)->RegisterWriter();
-    CHECK_OK(writer);
-    Rng rng(600 + static_cast<uint64_t>(w));
-    const std::vector<int64_t> samples = sampler->SampleMany(15000, &rng);
-    CHECK(writer->Append(samples).ok());
-    pooled.insert(pooled.end(), samples.begin(), samples.end());
-  }
-  auto striped_snapshot = (*striped)->ExportSnapshot();
-  CHECK_OK(striped_snapshot);
-  // Ladder accounting is explicit and checkable.  The sequential writer
-  // handles release their stripe on scope exit, so all four claims land on
-  // the first stripe: 60000 samples on a 2048 window = 29 condenses
-  // (0b11101: 4 live slots, depth 5) plus a buffered window -> 6 levels,
-  // and a single contributing stripe adds no reconcile depth.  The plain
-  // shard's 30000 samples = 14 flushes (0b1110: 3 slots, depth 4) plus a
-  // buffered remainder -> 5.
-  CHECK(striped_snapshot->error_levels == 6);
-  CHECK(snapshots.front().error_levels == 5);
-  // The envelope codec accepts it like any shard's, accounting included.
-  auto round_trip =
-      DecodeShardSnapshot(EncodeShardSnapshot(*striped_snapshot));
-  CHECK_OK(round_trip);
-  CHECK(round_trip->num_samples == 60000);
-  CHECK(round_trip->error_levels == 6);
-  snapshots.push_back(std::move(striped_snapshot).value());
-
-  auto reduced = ReduceSnapshots(snapshots, k);
-  CHECK_OK(reduced);
-  CHECK(reduced->total_weight == 90000.0);
-  // One tree merge on top of the deeper (6-level) leaf.
-  CHECK(reduced->error_levels == 7);
-  auto empirical = EmpiricalDistribution(domain, pooled);
-  CHECK_OK(empirical);
-  const double err =
-      std::sqrt(reduced->aggregate.L2DistanceSquaredTo(*empirical));
-  // The striped shard pays kReconcileErrorLevels extra on top of the
-  // shared per-shard condense + tree levels; on 90k samples that budget
-  // still lands far under this loose absolute check.
-  CHECK(err < 0.05);
 }
 
 TEST(ReduceSnapshotsDedupesRetransmitsRejectsConflicts) {

@@ -270,11 +270,10 @@ TEST(StreamingFoldBufferMatchesPeek) {
   CHECK(builder->AddMany({samples.data(), 1200}).ok());
   CHECK(builder->buffered() == 176);  // 1200 = 2 * 512 + 176
 
-  // The static fold on hand-copied builder state (what the striped
-  // ingestor's export runs on its seqlock-consistent stripe copies) is
-  // bit-identical to the builder's own Peek: CommittedSummary is the exact
-  // prefix of the Peek chain, so folding the window copy onto it lands on
-  // the same bits.
+  // The static fold on hand-copied builder state (what the keyed store's
+  // archetype pool runs on its window planes) is bit-identical to the
+  // builder's own Peek: CommittedSummary is the exact prefix of the Peek
+  // chain, so folding the window copy onto it lands on the same bits.
   const std::vector<int64_t> window(samples.begin() + 1024,
                                     samples.begin() + 1200);
   auto committed = builder->CommittedSummary();
@@ -286,7 +285,7 @@ TEST(StreamingFoldBufferMatchesPeek) {
   CHECK(BitIdentical(*folded, *builder->Peek()));
 
   // With no prior summary the fold is just the batch construction — the
-  // state of a stripe that has never condensed.
+  // state of a builder that has never condensed.
   auto fresh = StreamingHistogramBuilder::Create(domain, k, 512);
   CHECK_OK(fresh);
   CHECK(fresh->AddMany({samples.data(), 176}).ok());

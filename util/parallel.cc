@@ -85,15 +85,6 @@ void SetHardwareParallelismForTesting(int value) {
   hardware_parallelism_override.store(value, std::memory_order_relaxed);
 }
 
-int DefaultStripeCount(int writers_hint) {
-  int target = std::max(writers_hint, HardwareParallelism());
-  target = std::max(target, 4);
-  target = std::min(target, 256);
-  int stripes = 4;
-  while (stripes < target) stripes *= 2;
-  return stripes;
-}
-
 ThreadPool::ThreadPool(int num_threads) {
   const int workers = std::max(num_threads, 1) - 1;
   workers_.reserve(static_cast<size_t>(workers));

@@ -76,19 +76,6 @@ int HardwareParallelism();
 // down); never used outside tests.
 void SetHardwareParallelismForTesting(int value);
 
-// Default stripe count for a striped multi-writer structure
-// (service/striped_ingestor.h): the next power of two at or above
-// max(writers_hint, the machine's usable parallelism per
-// EffectiveParallelism — hardware cores clamped by any cgroup CPU quota),
-// floored at 4 and capped at 256.  Power-of-two so a hashed or
-// round-robin writer->stripe assignment spreads evenly; the floor keeps a
-// little headroom for writer churn (a stripe stays claimed until its
-// handle is released) even on 1-core containers; the cap bounds the
-// per-stripe memory of pathological hints.  A positive `writers_hint` is
-// the caller's expected peak concurrent writer count; 0 means "size for
-// this machine".
-int DefaultStripeCount(int writers_hint = 0);
-
 class ThreadPool {
  public:
   // Spawns num_threads - 1 worker threads (clamped to >= 1).
